@@ -1,5 +1,5 @@
 # The tier-1 gate: everything a PR must keep green.
-.PHONY: verify test build vet lint garlint race bench bench-translate bench-smoke cover qualgate stress
+.PHONY: verify test build vet lint garlint race bench bench-smoke cover qualgate stress
 
 build:
 	go build ./...
@@ -33,12 +33,6 @@ verify: build vet lint race qualgate
 bench:
 	go test -bench=. -benchmem
 
-# bench-translate regenerates the committed BENCH_translate.json: the
-# translate hot path measured sequential-vs-batched (with a ranked-
-# output equality assertion) and cache miss-vs-hit.
-bench-translate:
-	go run ./cmd/garbench -bench translate -iters 5 -benchout BENCH_translate.json
-
 # bench-generalize regenerates the committed BENCH_generalize.json: the
 # budget-governed streaming pool build at 1k/10k/100k records, with
 # byte-identical-replay, budget-peak, and heap-vs-budget assertions.
@@ -50,7 +44,6 @@ bench-generalize:
 # assertions; the JSON goes to a scratch path so CI never dirties the
 # committed numbers.
 bench-smoke:
-	go run ./cmd/garbench -bench translate -iters 1 -benchout /tmp/BENCH_translate.json
 	go run ./cmd/garbench -bench generalize -iters 1 -benchout /tmp/BENCH_generalize.json
 
 # cover is the coverage gate: per-package floors live in

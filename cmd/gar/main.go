@@ -227,6 +227,25 @@ func buildSystemModels(s *spec, opts gar.Options, loadModels string) (*gar.Syste
 	return sys, content, models, nil
 }
 
+// reloadModels builds what a reload swaps into a live system: the
+// spec's content and its models, trained (or loaded) on a throwaway
+// prepared system that is never deployed — Swap builds the serving
+// pool, embeddings and feature records on the live system itself.
+func reloadModels(s *spec, opts gar.Options, loadModels string) (*gar.Content, *gar.Models, error) {
+	if err := validateSpec(s); err != nil {
+		return nil, nil, err
+	}
+	sys, content, err := newSystem(s, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	models, err := specModels(sys, s, opts, loadModels)
+	if err != nil {
+		return nil, nil, err
+	}
+	return content, models, nil
+}
+
 // newSystem assembles the database schema, system and content from the
 // spec without preparing or training anything: the shared front half of
 // a cold build and a checkpoint warm start (where the pool and models
@@ -291,6 +310,19 @@ func newSystem(s *spec, opts gar.Options) (*gar.System, *gar.Content, error) {
 // assembled system: Prepare the candidate pool from the spec's samples,
 // then train (or load) and deploy the ranking models.
 func deploySystem(sys *gar.System, s *spec, opts gar.Options, loadModels string) (*gar.Models, error) {
+	models, err := specModels(sys, s, opts, loadModels)
+	if err != nil {
+		return nil, err
+	}
+	if err := sys.UseModels(models); err != nil {
+		return nil, err
+	}
+	return models, nil
+}
+
+// specModels prepares the candidate pool from the spec's samples and
+// trains (or loads) the ranking models, without deploying them.
+func specModels(sys *gar.System, s *spec, opts gar.Options, loadModels string) (*gar.Models, error) {
 	if len(s.Samples) == 0 {
 		return nil, fmt.Errorf("spec: no sample queries (the candidate pool would be empty)")
 	}
@@ -305,9 +337,6 @@ func deploySystem(sys *gar.System, s *spec, opts gar.Options, loadModels string)
 		models, err = gar.TrainModels([]gar.TrainingSet{{System: sys, Examples: specExamples(s)}}, opts)
 	}
 	if err != nil {
-		return nil, err
-	}
-	if err := sys.UseModels(models); err != nil {
 		return nil, err
 	}
 	return models, nil

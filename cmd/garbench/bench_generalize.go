@@ -269,6 +269,22 @@ func runGeneralizeScale(n int, dir string) (genScaleStats, error) {
 	return st, nil
 }
 
+// benchSamples are the employee-database sample queries from the
+// paper's running example, the pipeline anchor's generalization input.
+func benchSamples() []string {
+	return []string{
+		"SELECT T1.name FROM employee AS T1 JOIN evaluation AS T2 ON T1.employee_id = T2.employee_id ORDER BY T2.bonus DESC LIMIT 1",
+		"SELECT name FROM employee WHERE age > 30",
+		"SELECT age FROM employee WHERE city = 'Austin'",
+		"SELECT city, COUNT(*) FROM employee GROUP BY city",
+		"SELECT AVG(bonus) FROM evaluation",
+		"SELECT COUNT(*) FROM employee",
+		"SELECT shop_name FROM shop ORDER BY number_products DESC LIMIT 1",
+		"SELECT name FROM employee ORDER BY age DESC LIMIT 1",
+		"SELECT city FROM employee",
+	}
+}
+
 // runGeneralizePipeline is the end-to-end anchor: the employee pool
 // built governed (tiny RAM buffer, forced spill) and unbounded must be
 // byte-identical candidate-for-candidate.

@@ -28,7 +28,7 @@ func main() {
 	scale := flag.String("scale", "small", "experiment scale: small or full")
 	exp := flag.String("exp", "all", "comma-separated experiment ids (or 'all')")
 	seed := flag.Int64("seed", 0, "override the benchmark seed (0 keeps the default)")
-	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: translate, generalize)")
+	bench := flag.String("bench", "", "run a micro-benchmark instead of experiments (id: generalize)")
 	iters := flag.Int("iters", 5, "benchmark iterations over the question set")
 	benchOut := flag.String("benchout", "", "benchmark JSON output path (default BENCH_<id>.json)")
 	baseline := flag.Bool("baseline", false, "run the translation-quality gate against the committed baseline")
@@ -52,12 +52,10 @@ func main() {
 		}
 		var err error
 		switch *bench {
-		case "translate":
-			err = runTranslateBench(*iters, out)
 		case "generalize":
 			err = runGeneralizeBench(*iters, out)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: translate, generalize)\n", *bench)
+			fmt.Fprintf(os.Stderr, "unknown benchmark %q (want: generalize)\n", *bench)
 			os.Exit(1)
 		}
 		if err != nil {

@@ -103,7 +103,8 @@ type Options struct {
 	// executes (default 8).
 	ExecTopK int
 	// MemBudget caps the bytes of retained state (candidate pool,
-	// dialect embeddings, pool-build buffers) this system may hold;
+	// dialect embeddings and feature records, pool-build buffers) this
+	// system may hold;
 	// 0 means unbudgeted. The fleet overrides it per tenant through
 	// SetResources.
 	MemBudget int64
@@ -154,12 +155,12 @@ func (o *Options) fill() {
 type state struct {
 	// gen is the pool generation, bumped by every Prepare/Swap that
 	// replaces the candidate pool.
-	gen       uint64
-	pool      []ltr.Candidate
-	poolIdx   *ltr.PoolIndex
-	encoder   *embed.Encoder
-	pipeline  *ltr.Pipeline
-	linker    *values.Linker
+	gen      uint64
+	pool     []ltr.Candidate
+	poolIdx  *ltr.PoolIndex
+	encoder  *embed.Encoder
+	pipeline *ltr.Pipeline
+	linker   *values.Linker
 	// guide, when non-nil, is the execution-guided reranking stage's
 	// seeded sample instance; rebuilt by SetContent so seeded rows draw
 	// from the spec's value index.
@@ -216,7 +217,8 @@ type System struct {
 	// tenant by SetResources.
 	resources atomic.Pointer[resources]
 	// snapMem accounts the published snapshot's candidate-pool bytes
-	// and vecMem its dialect-embedding bytes, both against the budget.
+	// and vecMem its dialect embeddings and feature records, both
+	// against the budget.
 	// They are writeMu-guarded and replaced at each publication that
 	// rebuilds the matching half (a model redeploy replaces only the
 	// embeddings); snapBytes mirrors their sum for lock-free gauges.
@@ -560,10 +562,12 @@ func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 	}
 	var lists []rerank.TrainingList
 	for i := range sets {
-		index, vecs := buildIndex(pools[i], encoder, opts)
+		// The training pipeline carries no records: BuildLists builds
+		// only those of the candidates its lists score.
+		vecs := encodePool(pools[i], encoder, opts)
 		pipe := &ltr.Pipeline{
 			Encoder:  encoder,
-			Index:    index,
+			Index:    indexFromVecs(vecs, opts),
 			Pool:     pools[i],
 			PoolIdx:  poolIdxs[i],
 			K:        opts.RetrievalK,
@@ -578,21 +582,17 @@ func TrainModels(sets []TrainingSet, opts Options) (*Models, error) {
 	return m, nil
 }
 
-// buildIndex embeds and indexes the pool. The per-candidate encodes —
-// the dominant cost of a snapshot build — fan out across opts.Workers;
-// the returned vecs (aligned with pool) are the exact vectors the index
-// stores, handed to the pipeline so re-rank scoring never re-encodes a
-// dialect.
+// encodePool embeds every candidate's dialect, fanned across
+// opts.Workers; the vectors are aligned with pool.
 //
-//garlint:allow ctxpass errlost -- snapshot build: no caller context to thread, and the ForEach body never returns an error
-func buildIndex(pool []ltr.Candidate, encoder *embed.Encoder, opts Options) (vindex.Index, []vector.Vec) {
+//garlint:allow ctxpass errlost -- pool build: no caller context to thread, and the ForEach body never returns an error
+func encodePool(pool []ltr.Candidate, encoder *embed.Encoder, opts Options) []vector.Vec {
 	vecs := make([]vector.Vec, len(pool))
-	// The body never fails and the context cannot be cancelled.
 	_ = parallel.ForEach(context.Background(), len(pool), opts.Workers, func(i int) error {
 		vecs[i] = encoder.Encode(pool[i].Dialect)
 		return nil
 	})
-	return indexFromVecs(vecs, opts), vecs
+	return vecs
 }
 
 // indexFromVecs assembles (and, for IVF, eagerly builds) a vector index
@@ -911,12 +911,15 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 		if ferr := inj.Fire(pctx, faults.Postprocess); ferr != nil {
 			return ferr
 		}
+		// The question's literal values are extracted once and shared
+		// by every candidate's filter and fill.
+		vals := linker.Extract(nl)
 		// Post-processing 1: drop candidates whose dialect lacks a
 		// column implied by a literal value in the NL query. If every
 		// candidate would be dropped, keep the original ranking.
 		filtered := make([]ltr.Ranked, 0, len(ranked))
 		for _, r := range ranked {
-			if s.Opts.NoDialect || linker.DialectMentionsColumns(nl, r.Dialect) {
+			if s.Opts.NoDialect || linker.MentionsColumns(vals, r.Dialect) {
 				filtered = append(filtered, r)
 			}
 		}
@@ -928,7 +931,7 @@ func (s *System) TranslateContext(ctx context.Context, nl string) (*Translation,
 				return cerr
 			}
 			// Post-processing 2: instantiate placeholders from the NL.
-			sql := linker.FillPlaceholders(r.SQL, nl)
+			sql := linker.Fill(r.SQL, vals)
 			processed = append(processed, Candidate{SQL: sql, Dialect: r.Dialect, Score: r.Score})
 		}
 		return nil

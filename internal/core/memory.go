@@ -13,6 +13,7 @@ import (
 	"repro/internal/ltr"
 	"repro/internal/memgov"
 	"repro/internal/parallel"
+	"repro/internal/rerank"
 	"repro/internal/schema"
 	"repro/internal/spill"
 	"repro/internal/sqlast"
@@ -22,7 +23,7 @@ import (
 
 // This file is the resource-governance layer of pool construction and
 // serving: every byte a published snapshot retains (candidate pool,
-// dialect embeddings) is accounted against a memgov budget, pool
+// dialect embeddings and feature records) is accounted against a memgov budget, pool
 // construction streams candidates through a bounded RAM buffer that
 // overflows into crash-safe spill runs (internal/spill), and every
 // pressure or spill-disk failure degrades — truncated pool, Degraded
@@ -463,36 +464,62 @@ func (s *System) buildPoolGoverned(samples []*sqlast.Query) *poolBuild {
 // fine enough that a denial truncates within one batch of the limit.
 const encodeBatch = 256
 
-// buildIndexGoverned embeds the pool's dialects in bounded batches,
-// growing the snapshot reservation per batch. A denial truncates the
-// pool at the last complete batch: retrieval quality degrades (fewer
-// candidates) but the system stays up. A budget too small for even the
-// first batch is an error — that snapshot cannot exist at any size,
-// and the caller must keep (or report) what it has.
+// dialectSide is the query-independent, per-candidate half of a
+// serving snapshot, aligned with its pool: each candidate's dialect
+// embedding and re-ranking feature record, and the vocabulary the
+// records index.
+type dialectSide struct {
+	vecs  []vector.Vec
+	vocab *rerank.Vocab
+	recs  []rerank.Record
+}
+
+// buildIndexGoverned embeds the pool's dialects and builds their
+// feature records in bounded batches — one parallel pass per batch
+// does both — growing the snapshot reservation per batch by the
+// vectors, the records and the vocabulary they added. A candidate, its
+// vector and its record are admitted or dropped together: a denial
+// truncates the pool at the last complete batch, so retrieval quality
+// degrades (fewer candidates) but the system stays up. A budget too
+// small for even the first batch is an error — that snapshot cannot
+// exist at any size, and the caller must keep (or report) what it has.
+// A nil reservation builds without accounting.
 //
 //garlint:allow ctxpass errlost -- snapshot build: no caller context to thread, and the ForEach body never returns an error
-func buildIndexGoverned(pool []ltr.Candidate, encoder *embed.Encoder, opts Options, snap *memgov.Reservation) ([]ltr.Candidate, []vector.Vec, error) {
-	vecs := make([]vector.Vec, 0, len(pool))
+func buildIndexGoverned(pool []ltr.Candidate, encoder *embed.Encoder, opts Options, snap *memgov.Reservation) ([]ltr.Candidate, dialectSide, error) {
+	side := dialectSide{
+		vecs:  make([]vector.Vec, 0, len(pool)),
+		vocab: rerank.NewVocab(),
+		recs:  make([]rerank.Record, 0, len(pool)),
+	}
+	// vocabCharged is the vocabulary growth already charged; a denied
+	// batch's few new tokens stay interned but uncharged.
+	var vocabCharged int64
 	for start := 0; start < len(pool); start += encodeBatch {
 		end := min(start+encodeBatch, len(pool))
-		batch := make([]vector.Vec, end-start)
+		vecs := make([]vector.Vec, end-start)
+		recs := make([]rerank.Record, end-start)
 		_ = parallel.ForEach(context.Background(), end-start, opts.Workers, func(i int) error {
-			batch[i] = encoder.Encode(pool[start+i].Dialect)
+			vecs[i] = encoder.Encode(pool[start+i].Dialect)
+			recs[i] = side.vocab.Record(pool[start+i].Dialect)
 			return nil
 		})
-		var batchBytes int64
-		for _, v := range batch {
-			batchBytes += vecBytes(v)
+		vocabBytes := side.vocab.Bytes()
+		batchBytes := vocabBytes - vocabCharged
+		for i := range vecs {
+			batchBytes += vecBytes(vecs[i]) + recs[i].Bytes()
 		}
 		if err := snap.Grow(batchBytes); err != nil {
 			if start == 0 {
-				return nil, nil, fmt.Errorf("core: memory budget cannot hold one snapshot: %w", err)
+				return nil, dialectSide{}, fmt.Errorf("core: memory budget cannot hold one snapshot: %w", err)
 			}
-			return pool[:start], vecs, nil
+			return pool[:start], side, nil
 		}
-		vecs = append(vecs, batch...)
+		vocabCharged = vocabBytes
+		side.vecs = append(side.vecs, vecs...)
+		side.recs = append(side.recs, recs...)
 	}
-	return pool, vecs, nil
+	return pool, side, nil
 }
 
 // candBytesOf recomputes the accounting estimate of a materialized
@@ -503,7 +530,8 @@ func candBytesOf(c ltr.Candidate) int64 {
 }
 
 // newPipelineGoverned assembles the online pipeline with the embedding
-// vectors accounted in a fresh reservation against budget. Budget
+// vectors and feature records accounted in a fresh reservation against
+// budget. Budget
 // pressure truncates the pool to the candidates whose embeddings fit:
 // the survivors get a rebuilt lookup index and the dropped candidates'
 // bytes return from poolRes to the budget. When the pool itself has
@@ -517,14 +545,14 @@ func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models
 ) (*ltr.Pipeline, []ltr.Candidate, *ltr.PoolIndex, *memgov.Reservation, bool, error) {
 	vecRes := budget.Hold()
 	full := len(pool)
-	kept, vecs, err := buildIndexGoverned(pool, m.Encoder, opts, vecRes)
+	kept, side, err := buildIndexGoverned(pool, m.Encoder, opts, vecRes)
 	for err != nil && errors.Is(err, memgov.ErrBudgetExceeded) && len(pool) > 1 {
 		cut := len(pool) / 2
 		for _, c := range pool[cut:] {
 			poolRes.Shrink(candBytesOf(c))
 		}
 		pool = pool[:cut]
-		kept, vecs, err = buildIndexGoverned(pool, m.Encoder, opts, vecRes)
+		kept, side, err = buildIndexGoverned(pool, m.Encoder, opts, vecRes)
 	}
 	if err != nil {
 		vecRes.Release()
@@ -539,14 +567,16 @@ func newPipelineGoverned(pool []ltr.Candidate, poolIdx *ltr.PoolIndex, m *Models
 	}
 	pipe := &ltr.Pipeline{
 		Encoder:    m.Encoder,
-		Index:      indexFromVecs(vecs, opts),
+		Index:      indexFromVecs(side.vecs, opts),
 		Pool:       kept,
 		PoolIdx:    poolIdx,
 		K:          opts.RetrievalK,
 		SkipRerank: opts.NoRerank,
 		Reranker:   m.Reranker,
-		DialVecs:   vecs,
+		DialVecs:   side.vecs,
 		Costs:      poolCosts(kept),
+		Vocab:      side.vocab,
+		Records:    side.recs,
 		Workers:    opts.Workers,
 	}
 	return pipe, kept, poolIdx, vecRes, truncated, nil
@@ -577,7 +607,7 @@ type MemStats struct {
 	// fleet); nil when unbudgeted.
 	Budget *memgov.Stats `json:"budget,omitempty"`
 	// SnapshotBytes is the accounted size of the published snapshot
-	// (candidate pool + dialect embeddings).
+	// (candidate pool + dialect embeddings and feature records).
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// Degraded and DegradeReason describe the published pool's build.
 	Degraded      bool   `json:"degraded"`

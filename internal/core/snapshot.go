@@ -132,8 +132,9 @@ func decodeSection(ck *checkpoint.Checkpoint, name string, out any) (err error) 
 // decoded (and envelope-validated) checkpoint and publishes it
 // atomically: candidate pool re-parsed and re-bound against this
 // system's database, vector index rebuilt from the persisted dialect
-// embeddings (no re-encoding), models deployed, pool generation
-// restored. After it returns the system is Ready and translates without
+// embeddings (no re-encoding), re-ranking feature records rebuilt from
+// the dialects, models deployed, pool generation restored. After it
+// returns the system is Ready and translates without
 // ever running Prepare or Train.
 //
 // A checkpoint for a different database fails with
@@ -209,19 +210,23 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 	// help — older checkpoints are the same size — so the caller should
 	// fall through to a cold build, which streams and spills under the
 	// same budget instead of materializing the checkpoint whole.
+	//
+	// The feature records are not persisted: they are a pure function of
+	// the dialects, rebuilt here and charged with the embeddings.
+	vocab, recs := ltr.BuildRecords(pool, s.Opts.Workers)
 	budget := s.resources.Load().budget
 	poolMem, vecMem := budget.Hold(), budget.Hold()
-	var poolBytes, vecsBytes int64
+	poolBytes, vecsBytes := int64(0), vocab.Bytes()
 	for i := range pool {
 		poolBytes += candBytesOf(pool[i])
-		vecsBytes += vecBytes(vecs[i])
+		vecsBytes += vecBytes(vecs[i]) + recs[i].Bytes()
 	}
 	if err := poolMem.Grow(poolBytes); err != nil {
 		return fmt.Errorf("core: memory budget cannot hold the checkpointed pool: %w", err)
 	}
 	if err := vecMem.Grow(vecsBytes); err != nil {
 		poolMem.Release()
-		return fmt.Errorf("core: memory budget cannot hold the checkpointed embeddings: %w", err)
+		return fmt.Errorf("core: memory budget cannot hold the checkpointed embeddings and records: %w", err)
 	}
 
 	poolIdx := ltr.NewPoolIndex(pool)
@@ -236,6 +241,8 @@ func (s *System) RestoreCheckpoint(ck *checkpoint.Checkpoint) error {
 		Reranker:   m.Reranker,
 		DialVecs:   vecs,
 		Costs:      poolCosts(pool),
+		Vocab:      vocab,
+		Records:    recs,
 		Workers:    s.Opts.Workers,
 	}
 

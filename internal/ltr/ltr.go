@@ -9,6 +9,7 @@ package ltr
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"repro/internal/embed"
 	"repro/internal/norm"
@@ -162,6 +163,14 @@ type Pipeline struct {
 	// re-ranker consumes them as a static input feature. Nil scores
 	// every candidate with a zero cost feature.
 	Costs []float64
+	// Vocab and Records, when non-nil, hold the re-ranker's dialect
+	// feature record of each pool candidate (aligned with Pool) and the
+	// vocabulary their token IDs index. Snapshot builds compute them
+	// next to DialVecs, so re-ranking a retrieved candidate never
+	// re-tokenizes its dialect. They are used together with DialVecs;
+	// without all three the re-ranker builds records per request.
+	Vocab   *rerank.Vocab
+	Records []rerank.Record
 	// Workers bounds the fan-out of batched scoring and retrieval
 	// (0 = one per CPU, 1 = sequential).
 	Workers int
@@ -247,42 +256,56 @@ func (p *Pipeline) RerankContext(ctx context.Context, nl string, hits []vindex.H
 // RerankVecContext is RerankContext with an optional precomputed query
 // embedding (under p.Encoder). Every candidate is scored exactly once:
 // the NL-side features are prepared once per question, the dialect-side
-// embeddings come from DialVecs when the snapshot precomputed them, and
-// the forward passes fan out across p.Workers. The ranked output is
-// bit-identical to sequential per-pair scoring.
+// embeddings and feature records come from DialVecs and Records when
+// the snapshot precomputed them, and the forward passes fan out across
+// p.Workers. The ranked output is bit-identical to sequential per-pair
+// scoring.
 func (p *Pipeline) RerankVecContext(ctx context.Context, nl string, qvec vector.Vec, hits []vindex.Hit) ([]Ranked, error) {
 	if p.SkipRerank || p.Reranker == nil {
 		return p.FromHits(hits), nil
-	}
-	dialects := make([]string, len(hits))
-	var dialVecs []vector.Vec
-	if p.DialVecs != nil {
-		dialVecs = make([]vector.Vec, len(hits))
-	}
-	var costs []float64
-	if p.Costs != nil {
-		costs = make([]float64, len(hits))
-	}
-	for i, h := range hits {
-		dialects[i] = p.Pool[h.ID].Dialect
-		if dialVecs != nil {
-			dialVecs[i] = p.DialVecs[h.ID]
-		}
-		if costs != nil {
-			costs[i] = p.Costs[h.ID]
-		}
 	}
 	// The cached query embedding substitutes for the extractor's own
 	// encode only when both stages share one encoder (they do in every
 	// snapshot core builds; the guard keeps hand-assembled pipelines
 	// honest).
-	var prep *rerank.Prep
-	if qvec != nil && p.Reranker.X.Encoder == p.Encoder {
-		prep = p.Reranker.X.PrepareVec(nl, qvec)
-	} else {
-		prep = p.Reranker.X.Prepare(nl)
+	x := p.Reranker.X
+	if qvec == nil || x.Encoder != p.Encoder {
+		qvec = nil
+		if x.Encoder != nil {
+			qvec = x.Encoder.Encode(nl)
+		}
 	}
-	order, scores, err := p.Reranker.RankScoresPrepContext(ctx, prep, dialects, dialVecs, costs, p.Workers)
+	var costs []float64
+	if p.Costs != nil {
+		costs = make([]float64, len(hits))
+		for i, h := range hits {
+			costs[i] = p.Costs[h.ID]
+		}
+	}
+	var order []int
+	var scores []float64
+	var err error
+	if p.Records != nil && p.DialVecs != nil {
+		recs := make([]*rerank.Record, len(hits))
+		dialVecs := make([]vector.Vec, len(hits))
+		for i, h := range hits {
+			recs[i], dialVecs[i] = &p.Records[h.ID], p.DialVecs[h.ID]
+		}
+		order, scores, err = p.Reranker.RankRecordsContext(ctx, x.PrepareIn(p.Vocab, nl, qvec), recs, dialVecs, costs, p.Workers)
+	} else {
+		dialects := make([]string, len(hits))
+		var dialVecs []vector.Vec
+		if p.DialVecs != nil {
+			dialVecs = make([]vector.Vec, len(hits))
+		}
+		for i, h := range hits {
+			dialects[i] = p.Pool[h.ID].Dialect
+			if dialVecs != nil {
+				dialVecs[i] = p.DialVecs[h.ID]
+			}
+		}
+		order, scores, err = p.Reranker.RankScoresPrepContext(ctx, x.PrepareVec(nl, qvec), dialects, dialVecs, costs, p.Workers)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +347,11 @@ func (p *Pipeline) RankContext(ctx context.Context, nl string) ([]Ranked, error)
 // gold is not retrieved in the top-k contribute their list with the gold
 // appended, so the model still sees a positive (standard practice for
 // training with imperfect first stages). Retrieval for all examples
-// runs as one batched search instead of a per-example loop.
+// runs as one batched search instead of a per-example loop. Each list
+// carries its candidates' pool IDs with the pool's records and
+// embeddings, so training scores exactly what serving scores; for a
+// pipeline without records, the listed candidates' records are built
+// here.
 //
 //garlint:allow ctxpass -- training-time helper with no caller context
 func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
@@ -345,12 +372,26 @@ func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
 	if err != nil {
 		return nil
 	}
+	vocab, recs := p.Vocab, p.Records
+	if recs == nil {
+		// Training scores only the listed candidates: build just their
+		// records, into a pool-aligned slice the lists share.
+		var ids []int
+		for j, hits := range batch {
+			for _, h := range hits {
+				ids = append(ids, h.ID)
+			}
+			ids = append(ids, golds[j])
+		}
+		vocab, recs = buildRecords(p.Pool, ids, p.Workers)
+	}
 	lists := make([]rerank.TrainingList, 0, len(nls))
 	for j, hits := range batch {
 		goldIdx := golds[j]
-		list := rerank.TrainingList{NL: nls[j]}
+		list := rerank.TrainingList{NL: nls[j], Vocab: vocab, Records: recs, DialVecs: p.DialVecs}
 		sawGold := false
 		for _, h := range hits {
+			list.IDs = append(list.IDs, h.ID)
 			list.Dialects = append(list.Dialects, p.Pool[h.ID].Dialect)
 			label := 0.0
 			if h.ID == goldIdx {
@@ -363,6 +404,7 @@ func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
 			}
 		}
 		if !sawGold {
+			list.IDs = append(list.IDs, goldIdx)
 			list.Dialects = append(list.Dialects, p.Pool[goldIdx].Dialect)
 			list.Labels = append(list.Labels, 1)
 			if p.Costs != nil {
@@ -372,4 +414,31 @@ func (p *Pipeline) BuildLists(examples []Example, k int) []rerank.TrainingList {
 		lists = append(lists, list)
 	}
 	return lists
+}
+
+// BuildRecords builds the re-ranker's dialect feature record of every
+// pool candidate in one fresh vocabulary, fanning the work across
+// workers (0 = one per CPU). Records are aligned with pool.
+func BuildRecords(pool []Candidate, workers int) (*rerank.Vocab, []rerank.Record) {
+	ids := make([]int, len(pool))
+	for i := range ids {
+		ids[i] = i
+	}
+	return buildRecords(pool, ids, workers)
+}
+
+// buildRecords builds the records of the pool candidates named by ids
+// (repeats allowed) into a pool-aligned slice; the others stay zero.
+//
+//garlint:allow ctxpass errlost -- pool-build helper: no caller context to thread, and the ForEach body never returns an error
+func buildRecords(pool []Candidate, ids []int, workers int) (*rerank.Vocab, []rerank.Record) {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	v := rerank.NewVocab()
+	recs := make([]rerank.Record, len(pool))
+	_ = parallel.ForEach(context.Background(), len(ids), workers, func(i int) error {
+		recs[ids[i]] = v.Record(pool[ids[i]].Dialect)
+		return nil
+	})
+	return v, recs
 }

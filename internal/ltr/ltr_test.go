@@ -2,6 +2,7 @@ package ltr_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/embed"
@@ -136,10 +137,20 @@ func TestBuildListsShape(t *testing.T) {
 	if len(lists) != len(examples) {
 		t.Fatalf("lists = %d, want %d", len(lists), len(examples))
 	}
-	for _, l := range lists {
-		if len(l.Dialects) != len(l.Labels) {
+	// A pipeline with snapshot records lists the same candidates.
+	pipe.Vocab, pipe.Records = ltr.BuildRecords(pipe.Pool, 1)
+	withRecords := pipe.BuildLists(examples, 3)
+	for j, l := range lists {
+		if len(l.Dialects) != len(l.Labels) || len(l.IDs) != len(l.Dialects) || len(l.Records) != len(pipe.Pool) {
 			t.Fatal("list shape mismatch")
 		}
+		for i, id := range l.IDs {
+			if pipe.Pool[id].Dialect != l.Dialects[i] || withRecords[j].IDs[i] != id {
+				t.Fatalf("list %d candidate %d: pool ID %d does not name its dialect", j, i, id)
+			}
+		}
+	}
+	for _, l := range lists {
 		pos := 0
 		for _, lab := range l.Labels {
 			if lab == 1 {
@@ -237,6 +248,19 @@ func TestRerankVecContextCostAware(t *testing.T) {
 	for i := range plain {
 		if cached[i].ID != plain[i].ID || cached[i].Score != plain[i].Score {
 			t.Fatalf("cached path diverged at %d: %+v vs %+v", i, cached[i], plain[i])
+		}
+	}
+
+	// Nor must scoring the snapshot's precomputed feature records; the
+	// cost checks below run through them.
+	pipe.Vocab, pipe.Records = ltr.BuildRecords(pipe.Pool, 2)
+	recorded, err := pipe.RerankVecContext(context.Background(), nl, qvec, hits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plain {
+		if recorded[i].ID != plain[i].ID || math.Float64bits(recorded[i].Score) != math.Float64bits(plain[i].Score) {
+			t.Fatalf("record path diverged at %d: %+v vs %+v", i, recorded[i], plain[i])
 		}
 	}
 

@@ -67,10 +67,24 @@ func NewMLP(sizes []int, seed int64) (*MLP, error) {
 // InputDim returns the expected feature dimension.
 func (m *MLP) InputDim() int { return m.sizes[0] }
 
-// Score runs a forward pass and returns the scalar output.
+// Score runs a forward pass and returns the scalar output. It keeps
+// the activations of networks up to 64 units wide on the stack, so the
+// re-ranker's per-candidate scoring allocates nothing; the arithmetic
+// is forward's, so the score is bit-identical.
 func (m *MLP) Score(x []float64) float64 {
-	acts := m.forward(x)
-	return acts[len(acts)-1][0]
+	var buf [2][64]float64
+	cur := x
+	for l := range m.weights {
+		var out []float64
+		if n := m.sizes[l+1]; n <= len(buf[l%2]) {
+			out = buf[l%2][:n]
+		} else {
+			out = make([]float64, n)
+		}
+		m.layer(l, cur, out)
+		cur = out
+	}
+	return cur[0]
 }
 
 // forward returns the activations of every layer (input first).
@@ -79,23 +93,28 @@ func (m *MLP) forward(x []float64) [][]float64 {
 	cur := x
 	for l := range m.weights {
 		out := make([]float64, m.sizes[l+1])
-		for o := range out {
-			s := m.biases[l][o]
-			row := m.weights[l][o]
-			for i, v := range cur {
-				s += row[i] * v
-			}
-			if l+1 < len(m.weights) { // hidden layers: ReLU
-				if s < 0 {
-					s = 0
-				}
-			}
-			out[o] = s
-		}
+		m.layer(l, cur, out)
 		acts = append(acts, out)
 		cur = out
 	}
 	return acts
+}
+
+// layer computes layer l's activations of input cur into out.
+func (m *MLP) layer(l int, cur, out []float64) {
+	for o := range out {
+		s := m.biases[l][o]
+		row := m.weights[l][o]
+		for i, v := range cur {
+			s += row[i] * v
+		}
+		if l+1 < len(m.weights) { // hidden layers: ReLU
+			if s < 0 {
+				s = 0
+			}
+		}
+		out[o] = s
+	}
 }
 
 // grads accumulates parameter gradients for a batch.

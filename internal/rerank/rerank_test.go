@@ -217,10 +217,85 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 			}
 		}
 	}
+	// Snapshot records rank exactly as the per-pair API.
+	v := rerank.NewVocab()
+	recs := make([]*rerank.Record, len(dialects))
+	for i, d := range dialects {
+		r := v.Record(d)
+		recs[i] = &r
+	}
+	p := x.PrepareIn(v, nl, x.Encoder.Encode(nl))
+	for _, workers := range []int{1, 4} {
+		order, scores, err := m.RankRecordsContext(context.Background(), p, recs, dialVecs, nil, workers)
+		if err != nil {
+			t.Fatalf("records, workers=%d: %v", workers, err)
+		}
+		for i := range want {
+			if scores[i] != want[i] || order[i] != wantOrder[i] {
+				t.Errorf("records, workers=%d rank %d: %d (%v), want %d (%v)", workers, i, order[i], scores[i], wantOrder[i], want[i])
+			}
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := m.RankScoresContext(ctx, nl, dialects, nil, nil, 2); err == nil {
 		t.Error("cancelled rank must fail")
+	}
+	if _, _, err := m.RankRecordsContext(ctx, p, recs, dialVecs, nil, 2); err == nil {
+		t.Error("cancelled record rank must fail")
+	}
+}
+
+// TestTrainThroughRecords: training lists that name their candidates
+// by pool ID — scored through the pool's records and embeddings, as
+// BuildLists produces them — train the same network, bit for bit, as
+// lists of plain dialects.
+func TestTrainThroughRecords(t *testing.T) {
+	x := newExtractor()
+	plain := trainingLists()
+	var pool []string
+	ids := map[string]int{}
+	for _, l := range plain {
+		for _, d := range l.Dialects {
+			if _, ok := ids[d]; !ok {
+				ids[d] = len(pool)
+				pool = append(pool, d)
+			}
+		}
+	}
+	v := rerank.NewVocab()
+	recs := make([]rerank.Record, len(pool))
+	vecs := make([]vector.Vec, len(pool))
+	for i, d := range pool {
+		recs[i] = v.Record(d)
+		vecs[i] = x.Encoder.Encode(d)
+	}
+	byID := trainingLists()
+	for i := range byID {
+		byID[i].Vocab, byID[i].Records, byID[i].DialVecs = v, recs, vecs
+		for _, d := range byID[i].Dialects {
+			byID[i].IDs = append(byID[i].IDs, ids[d])
+		}
+	}
+	cfg := nn.TrainConfig{Epochs: 10, LR: 0.01, Seed: 3}
+	a, err := rerank.New(x, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rerank.New(x, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	la, lb := a.Train(plain, cfg), b.Train(byID, cfg)
+	for i := range la {
+		if la[i] != lb[i] {
+			t.Fatalf("epoch %d loss %v through records, %v through dialects", i, lb[i], la[i])
+		}
+	}
+	for _, d := range pool {
+		if a.Score("who is the oldest employee", d) != b.Score("who is the oldest employee", d) {
+			t.Fatalf("networks differ on %q", d)
+		}
 	}
 }
 

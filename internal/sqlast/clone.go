@@ -39,6 +39,32 @@ func (s *Select) Clone() *Select {
 	return out
 }
 
+// ClonePredicates returns a copy of q, at every nesting level, whose
+// WHERE and HAVING expressions — where the literals live — are deep
+// copies, and whose select lists, joins, grouping and ordering are
+// shared with q. Replacing literals in the copy never touches q; the
+// shared parts must be treated as read-only.
+func ClonePredicates(q *Query) *Query {
+	if q == nil {
+		return nil
+	}
+	s := *q.Select
+	s.Where = CloneExpr(s.Where)
+	s.Having = CloneExpr(s.Having)
+	// Derived tables hold predicates of their own.
+	for _, t := range s.From.Tables {
+		if t.Sub != nil {
+			tables := make([]TableRef, len(s.From.Tables))
+			for i, t := range s.From.Tables {
+				tables[i] = TableRef{Name: t.Name, Alias: t.Alias, Sub: ClonePredicates(t.Sub)}
+			}
+			s.From.Tables = tables
+			break
+		}
+	}
+	return &Query{Select: &s, Op: q.Op, Right: ClonePredicates(q.Right)}
+}
+
 // CloneExpr returns a deep copy of an expression tree.
 func CloneExpr(e Expr) Expr {
 	switch x := e.(type) {

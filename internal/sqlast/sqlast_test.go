@@ -169,3 +169,49 @@ func TestPredicatesNil(t *testing.T) {
 		t.Error("Predicates(nil) should be nil")
 	}
 }
+
+// rewriteLiterals replaces every literal in the query's predicates, at
+// every nesting level, in place.
+func rewriteLiterals(q *sqlast.Query) {
+	sqlast.WalkQueries(q, func(sub *sqlast.Query) {
+		for _, e := range []sqlast.Expr{sub.Select.Where, sub.Select.Having} {
+			sqlast.WalkExprs(e, func(n sqlast.Expr) {
+				if l, ok := n.(*sqlast.Lit); ok {
+					l.Kind, l.Text = sqlast.StringLit, "rewritten"
+				}
+			})
+		}
+	})
+}
+
+// TestClonePredicatesIndependence: a predicate copy prints like the
+// original, and rewriting its literals — which is what placeholder
+// filling does — never changes the original, derived tables, nested
+// subqueries and compound arms included.
+func TestClonePredicatesIndependence(t *testing.T) {
+	check := func(q *sqlast.Query) bool {
+		before := q.String()
+		c := sqlast.ClonePredicates(q)
+		if c.String() != before {
+			return false
+		}
+		rewriteLiterals(c)
+		return q.String() == before
+	}
+	if err := quick.Check(check, queryGenCfg); err != nil {
+		t.Error(err)
+	}
+	for _, src := range []string{
+		"SELECT d.a FROM (SELECT a FROM t WHERE b > 3) AS d WHERE d.a = 'v'",
+		"SELECT a FROM t WHERE a IN (SELECT c FROM u WHERE d < 2) UNION SELECT a FROM t WHERE b = 'w'",
+		"SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 4 ORDER BY a LIMIT 3",
+	} {
+		q, err := sqlparse.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if !check(q) {
+			t.Errorf("%s: rewriting the predicate copy changed the original", src)
+		}
+	}
+}

@@ -9,31 +9,45 @@ import (
 	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize lower-cases s and splits it into word and number tokens.
 // Punctuation separates tokens and is dropped.
 func Tokenize(s string) []string {
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
+	TokenizeFunc(s, func(tok []byte) {
+		out = append(out, string(tok))
+	})
+	return out
+}
+
+// TokenizeFunc calls fn with each token Tokenize would return, in
+// order, without allocating the token strings. tok is only valid
+// during the call.
+func TokenizeFunc(s string, fn func(tok []byte)) {
+	var buf [64]byte
+	cur := buf[:0]
 	for _, r := range s {
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			cur.WriteRune(unicode.ToLower(r))
+		case r < utf8.RuneSelf && ('a' <= r && r <= 'z' || '0' <= r && r <= '9'):
+			cur = append(cur, byte(r))
+		case r < utf8.RuneSelf && 'A' <= r && r <= 'Z':
+			cur = append(cur, byte(r)+'a'-'A')
+		case r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r)):
+			cur = utf8.AppendRune(cur, unicode.ToLower(r))
 		case r == '\'':
 			// keep contractions attached: don't → dont
 		default:
-			flush()
+			if len(cur) > 0 {
+				fn(cur)
+				cur = cur[:0]
+			}
 		}
 	}
-	flush()
-	return out
+	if len(cur) > 0 {
+		fn(cur)
+	}
 }
 
 // stopwords is a small English stopword list tuned for dialect

@@ -3,8 +3,10 @@ package text_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 
 	"repro/internal/text"
 )
@@ -180,4 +182,42 @@ func TestWeightedOverlap(t *testing.T) {
 	if (*text.IDF)(nil).WeightedOverlap([]string{"a"}, []string{"a"}) != 1 {
 		t.Error("nil IDF should fall back to uniform weights")
 	}
+}
+
+// builderTokenize is the strings.Builder tokenizer TokenizeFunc
+// replaced, kept as its oracle.
+func builderTokenize(s string) []string {
+	var out []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			out = append(out, cur.String())
+			cur.Reset()
+		}
+	}
+	for _, r := range s {
+		switch {
+		case unicode.IsLetter(r) || unicode.IsDigit(r):
+			cur.WriteRune(unicode.ToLower(r))
+		case r == '\'':
+		default:
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// FuzzTokenize pins text.Tokenize (and so TokenizeFunc) to the reference
+// tokenizer on arbitrary input, invalid UTF-8 included.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range []string{"", "Don't STOP", "städte Über 4.5", "a\xffb", "İstanbul ǅ", "x_y#z'"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := text.Tokenize(s), builderTokenize(s)
+		if strings.Join(got, "\x00") != strings.Join(want, "\x00") || len(got) != len(want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, want)
+		}
+	})
 }

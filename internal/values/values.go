@@ -7,6 +7,7 @@
 package values
 
 import (
+	"sort"
 	"strconv"
 	"strings"
 
@@ -114,37 +115,45 @@ func (l *Linker) Extract(nl string) []NLValue {
 	}
 
 	// Known cell values appearing as substrings, longest first so
-	// "new york city" wins over "york".
+	// "new york city" wins over "york". Equal lengths go by earliest
+	// position in the question, then lexicographically, so the choice
+	// never depends on map iteration order.
 	lower := " " + strings.ToLower(nl) + " "
-	var matches []string
+	type match struct {
+		val string
+		pos int
+	}
+	var matches []match
 	for val := range l.cellCols {
-		if strings.Contains(lower, " "+val+" ") || strings.Contains(lower, " "+val+"?") ||
-			strings.Contains(lower, " "+val+".") || strings.Contains(lower, " "+val+",") {
-			matches = append(matches, val)
+		if pos := wordIndex(lower, val); pos >= 0 {
+			matches = append(matches, match{val, pos})
 		}
 	}
-	// Longest-first insertion; skip values subsumed by an already-added
-	// longer match.
-	for {
-		best := ""
-		for _, m := range matches {
-			if len(m) > len(best) && !seen[m] {
-				covered := false
-				for s := range seen {
-					if strings.Contains(s, m) {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					best = m
-				}
+	sort.Slice(matches, func(i, j int) bool {
+		a, b := matches[i], matches[j]
+		if len(a.val) != len(b.val) {
+			return len(a.val) > len(b.val)
+		}
+		if a.pos != b.pos {
+			return a.pos < b.pos
+		}
+		return a.val < b.val
+	})
+	// Skip values subsumed by an already-added longer match.
+	for _, m := range matches {
+		if seen[m.val] {
+			continue
+		}
+		covered := false
+		for s := range seen {
+			if strings.Contains(s, m.val) {
+				covered = true
+				break
 			}
 		}
-		if best == "" {
-			break
+		if !covered {
+			add(NLValue{Text: m.val, Columns: l.columnsOf(m.val)})
 		}
-		add(NLValue{Text: best, Columns: l.columnsOf(best)})
 	}
 
 	// Numbers.
@@ -154,6 +163,24 @@ func (l *Linker) Extract(nl string) []NLValue {
 		}
 	}
 	return out
+}
+
+// wordIndex returns the position of the earliest whole-word occurrence
+// of val in the padded, lower-cased question — preceded by a space and
+// followed by a space, '?', '.' or ',' — or -1.
+func wordIndex(lower, val string) int {
+	for off := 0; off < len(lower); {
+		i := strings.Index(lower[off:], val)
+		if i < 0 {
+			return -1
+		}
+		i += off
+		if end := i + len(val); i > 0 && lower[i-1] == ' ' && end < len(lower) && strings.IndexByte(" ?.,", lower[end]) >= 0 {
+			return i
+		}
+		off = i + 1
+	}
+	return -1
 }
 
 func (l *Linker) columnsOf(value string) []ColRef {
@@ -172,12 +199,23 @@ func (l *Linker) RequiredColumns(nl string) []ColRef {
 
 // DialectMentionsColumns reports whether the dialect expression mentions
 // at least one of each required value's columns (by the column's NL
-// annotation). With no required values it returns true.
+// annotation). With no required values it returns true. It is
+// MentionsColumns over Extract(nl).
 func (l *Linker) DialectMentionsColumns(nl, dialectExpr string) bool {
-	dl := strings.ToLower(dialectExpr)
-	for _, v := range l.Extract(nl) {
+	return l.MentionsColumns(l.Extract(nl), dialectExpr)
+}
+
+// MentionsColumns is DialectMentionsColumns over the question's
+// already-extracted values, so a translation filters every candidate
+// with one extraction.
+func (l *Linker) MentionsColumns(vals []NLValue, dialectExpr string) bool {
+	var dl string
+	for _, v := range vals {
 		if len(v.Columns) == 0 {
 			continue
+		}
+		if dl == "" {
+			dl = strings.ToLower(dialectExpr)
 		}
 		found := false
 		for _, ref := range v.Columns {
@@ -201,10 +239,18 @@ func (l *Linker) DialectMentionsColumns(nl, dialectExpr string) bool {
 // replaced by values extracted from the NL query. Values are assigned by
 // type and column linking: a placeholder compared against a numeric
 // column takes the next unused number; a text-column placeholder prefers
-// a value linked to that column, then any remaining text value.
+// a value linked to that column, then any remaining text value. It is
+// Fill over Extract(nl).
 func (l *Linker) FillPlaceholders(q *sqlast.Query, nl string) *sqlast.Query {
-	out := q.Clone()
-	vals := l.Extract(nl)
+	return l.Fill(q, l.Extract(nl))
+}
+
+// Fill is FillPlaceholders over the question's already-extracted
+// values. The copy it returns shares everything but its predicates
+// with q (see sqlast.ClonePredicates): a translation fills every
+// ranked candidate, and a cached translation keeps them all.
+func (l *Linker) Fill(q *sqlast.Query, vals []NLValue) *sqlast.Query {
+	out := sqlast.ClonePredicates(q)
 	usedNum := map[int]bool{}
 	usedText := map[int]bool{}
 

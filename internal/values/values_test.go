@@ -146,3 +146,59 @@ func TestRequiredColumns(t *testing.T) {
 		t.Errorf("expected hints in employee and shop: %+v", cols)
 	}
 }
+
+// TestExtractTiesDeterministic pins the tie-break between cell values
+// of equal length: earliest in the question first, then
+// lexicographically — never map iteration order. Repeating one tied
+// question must give one answer, for extraction and for filling.
+func TestExtractTiesDeterministic(t *testing.T) {
+	l := linkerWithContent()
+	q := sqlparse.MustParse("SELECT name FROM employee WHERE city = 'value'")
+	const nl = "employees in madrid or austin"
+	texts := map[string]bool{}
+	fills := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		var got []string
+		for _, v := range l.Extract(nl) {
+			got = append(got, v.Text)
+		}
+		texts[strings.Join(got, "|")] = true
+		fills[l.FillPlaceholders(q, nl).String()] = true
+	}
+	if len(texts) != 1 || len(fills) != 1 {
+		t.Fatalf("tied question answered %d ways (%v) and filled %d ways (%v)", len(texts), texts, len(fills), fills)
+	}
+	if !texts["madrid|austin"] {
+		t.Errorf("extraction order %v, want madrid (earlier) before austin", texts)
+	}
+	// The position rung, in the other direction.
+	for _, v := range l.Extract("employees in austin or madrid") {
+		if !v.IsNum {
+			if v.Text != "austin" {
+				t.Errorf("first value %q, want austin", v.Text)
+			}
+			break
+		}
+	}
+}
+
+// TestFilterAndFillTakeExtractedValues pins the once-per-request
+// forms to the per-candidate wrappers.
+func TestFilterAndFillTakeExtractedValues(t *testing.T) {
+	l := linkerWithContent()
+	q := sqlparse.MustParse("SELECT name FROM employee WHERE city = 'value' AND age > 'value'")
+	for _, nl := range []string{"employees in Austin older than 30", "how many employees", `shops named "Red Bull" in madrid`} {
+		vals := l.Extract(nl)
+		for _, d := range []string{
+			"Find the name of employee. Return results only for employee that city is value.",
+			"Find the name of employee. Return results only for employee that age is greater than value.",
+		} {
+			if l.MentionsColumns(vals, d) != l.DialectMentionsColumns(nl, d) {
+				t.Errorf("MentionsColumns(%q, %q) disagrees with DialectMentionsColumns", nl, d)
+			}
+		}
+		if got, want := l.Fill(q, vals).String(), l.FillPlaceholders(q, nl).String(); got != want {
+			t.Errorf("Fill(%q) = %s, FillPlaceholders = %s", nl, got, want)
+		}
+	}
+}
