@@ -31,7 +31,7 @@
 //	gar -demo -q "how many employees are there"
 //	gar serve -demo -addr :8765  # HTTP JSON API (see serve.go)
 //	gar serve -demo -statedir /var/lib/gar   # durable checkpoints + warm start
-//	gar serve -specdir specs/ -statedir /var/lib/gar -maxtenants 16   # multi-tenant fleet (see serve_fleet.go)
+//	gar serve -specdir specs/ -statedir /var/lib/gar -maxtenants 16   # one tenant per spec (see serve.go)
 //	gar lint -spec db.json queries.sql   # semantic SQL checks (see lint.go)
 //	gar lint -demo -pool 500 -o json     # lint a generated candidate pool
 //	gar checkpoint list -statedir /var/lib/gar   # inspect/verify/prune state (see checkpoint.go)

@@ -11,6 +11,7 @@ import (
 
 	"repro/gar"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 )
 
 func testServeOpts() gar.Options {
@@ -59,7 +60,7 @@ func TestServeNotReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newServeHandler(sys, serveConfig{})
+	_, h := newTestServer(t, &sysSource{sys: sys}, fleet.Config{}, serveConfig{})
 
 	rec := postTranslate(h, `{"question": "anything"}`)
 	if rec.Code != http.StatusServiceUnavailable {
@@ -81,11 +82,7 @@ func TestServeNotReady(t *testing.T) {
 
 // TestServeReadyzHealthz checks the happy-path shape of both probes.
 func TestServeReadyzHealthz(t *testing.T) {
-	sys, _, err := buildSystem(demoSpec(), testServeOpts(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newServeHandler(sys, serveConfig{MaxInFlight: 4})
+	_, h := newTestServer(t, demoSource(), fleet.Config{MaxInFlight: 4}, serveConfig{})
 
 	code, body := getJSON(t, h, "/readyz")
 	if code != http.StatusOK || body["ready"] != true {
@@ -119,7 +116,8 @@ func TestServeHealthzDegraded(t *testing.T) {
 	}
 	inj := faults.NewInjector(1).Fail(faults.Rerank, errors.New("reranker down"))
 	sys.SetFaultInjector(inj)
-	h := newServeHandler(sys, serveConfig{BreakerFailures: 1, BreakerCooldown: time.Hour})
+	_, h := newTestServer(t, &sysSource{sys: sys},
+		fleet.Config{BreakerFailures: 1, BreakerCooldown: time.Hour}, serveConfig{})
 
 	rec := postTranslate(h, `{"question": "how many employees are there"}`)
 	if rec.Code != http.StatusOK {
@@ -160,13 +158,12 @@ func TestServeBurstSheds(t *testing.T) {
 	defer release()
 	sys.SetFaultInjector(inj)
 
-	h := newServeHandler(sys, serveConfig{
-		Timeout:     10 * time.Second,
+	_, h := newTestServer(t, &sysSource{sys: sys}, fleet.Config{
 		MaxInFlight: 2,
 		MaxQueue:    2,
 		RetryAfter:  3 * time.Second,
 		NoBreaker:   true,
-	})
+	}, serveConfig{Timeout: 10 * time.Second})
 
 	type result struct {
 		code       int
@@ -238,19 +235,18 @@ func TestServeBurstSheds(t *testing.T) {
 }
 
 // TestServeReload: POST /reload swaps in a new generation with zero
-// downtime, concurrent reloads are refused with 409, and an
-// unconfigured or failing reload reports honestly.
+// downtime, concurrent reloads are refused with 409, and a failing
+// reload reports honestly.
 func TestServeReload(t *testing.T) {
 	sys, _, models, err := buildSystemModels(demoSpec(), testServeOpts(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newServeHandler(sys, serveConfig{
-		Reload: func(ctx context.Context) error {
-			_, err := sys.Swap(demoSpec().Samples, models)
-			return err
-		},
-	})
+	src := &sysSource{sys: sys, reload: func(ctx context.Context, sys *gar.System) error {
+		_, err := sys.Swap(demoSpec().Samples, models)
+		return err
+	}}
+	_, h := newTestServer(t, src, fleet.Config{}, serveConfig{})
 
 	before := sys.Generation()
 	rec := postReload(h)
@@ -271,20 +267,15 @@ func TestServeReload(t *testing.T) {
 		t.Errorf("translate after reload: status %d", rec.Code)
 	}
 
-	// Method and configuration errors.
+	// Method and reload errors.
 	req := httptest.NewRequest(http.MethodGet, "/reload", nil)
 	mrec := httptest.NewRecorder()
 	h.ServeHTTP(mrec, req)
 	if mrec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /reload: status %d", mrec.Code)
 	}
-	if rec := postReload(newServeHandler(sys, serveConfig{})); rec.Code != http.StatusNotImplemented {
-		t.Errorf("unconfigured reload: status %d", rec.Code)
-	}
-	failing := newServeHandler(sys, serveConfig{
-		Reload: func(ctx context.Context) error { return errors.New("spec unreadable") },
-	})
-	if rec := postReload(failing); rec.Code != http.StatusUnprocessableEntity {
+	src.reload = func(ctx context.Context, sys *gar.System) error { return errors.New("spec unreadable") }
+	if rec := postReload(h); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("failing reload: status %d", rec.Code)
 	}
 
@@ -292,17 +283,15 @@ func TestServeReload(t *testing.T) {
 	// of queueing behind it.
 	entered := make(chan struct{})
 	proceed := make(chan struct{})
-	blocking := newServeHandler(sys, serveConfig{
-		Reload: func(ctx context.Context) error {
-			close(entered)
-			<-proceed
-			return nil
-		},
-	})
+	src.reload = func(ctx context.Context, sys *gar.System) error {
+		close(entered)
+		<-proceed
+		return nil
+	}
 	first := make(chan *httptest.ResponseRecorder, 1)
-	go func() { first <- postReload(blocking) }()
+	go func() { first <- postReload(h) }()
 	<-entered
-	if rec := postReload(blocking); rec.Code != http.StatusConflict {
+	if rec := postReload(h); rec.Code != http.StatusConflict {
 		t.Errorf("concurrent reload: status %d, want 409", rec.Code)
 	}
 	close(proceed)

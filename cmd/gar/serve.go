@@ -1,38 +1,55 @@
-// The serve mode runs GAR as a small HTTP JSON service:
+// The serve mode runs GAR as an HTTP JSON service over one database
+// or many:
 //
 //	gar serve -spec db.json -addr :8765
 //	gar serve -demo
+//	gar serve -specdir specs/ -statedir /var/lib/gar -maxtenants 16
 //
-//	POST /translate {"question": "who is the oldest employee"}
-//	POST /reload
-//	GET  /healthz
-//	GET  /readyz
+// Every database is a tenant of one fleet registry (internal/fleet)
+// and answers under its name:
+//
+//	POST /db/{name}/translate {"question": "who is the oldest employee"}
+//	POST /db/{name}/reload
+//	POST /db/{name}/feedback   (see serve_feedback.go)
+//	GET  /db/{name}/healthz
+//	GET  /db/{name}/readyz
+//
+// With -spec or -demo the fleet holds one tenant, named after the
+// spec's database. It is activated before the server listens and is
+// never evicted, and the root paths /translate, /reload, /feedback,
+// /healthz and /readyz are aliases of its routes. With -specdir every
+// {tenant}.json in the directory is a tenant: cold tenants activate on
+// their first request, a bounded LRU working set evicts idle ones
+// after a checkpoint flush, the root /healthz is the fleet roll-up and
+// the root /readyz answers 200 once any tenant serves.
 //
 // Each request runs under a per-request timeout, the request body is
 // size-limited, panics are recovered into 500 responses, and SIGINT or
-// SIGTERM drains in-flight requests before exiting.
+// SIGTERM drains in-flight requests and flushes every resident
+// tenant's final checkpoint before exiting.
 //
-// The service is overload-protected: an admission controller bounds
-// how many translations run concurrently, queues a bounded overflow
-// with a deadline-aware wait (a request that would miss its deadline
-// in the queue is shed immediately), and answers sheds with 429 +
-// Retry-After. A circuit breaker trips the re-ranking stage into
-// retrieval-only degraded mode after repeated stage failures, and
-// POST /reload hot-swaps the candidate pool and models from the spec
-// with zero downtime (old snapshot serves until the atomic swap).
+// Every tenant is overload-protected on its own: an admission
+// controller bounds concurrent translations and queues a bounded
+// overflow with a deadline-aware wait (a request that would miss its
+// deadline in the queue is shed immediately), answering sheds with
+// 429 + Retry-After. A circuit breaker trips the re-ranking stage into
+// retrieval-only degraded mode after repeated stage failures, and a
+// reload hot-swaps the candidate pool and models from the spec with
+// zero downtime (the old snapshot serves until the atomic swap).
 //
-// With -statedir the serving state is durable: the server warm-starts
-// from the newest valid checkpoint (skipping Prepare and Train
+// With -statedir the serving state is durable: a tenant warm-starts
+// from its newest valid checkpoint (skipping Prepare and Train
 // entirely), checkpoints in the background after every state change,
-// flushes a final checkpoint on graceful shutdown, and prunes old
-// generations down to -keepckpt. /healthz reports the last checkpoint
-// generation and age.
+// and prunes old generations down to -keepckpt. The -spec tenant keeps
+// its checkpoints at the root of -statedir, a -specdir tenant under
+// -statedir/{tenant}/; the feedback WAL and spill runs sit in the
+// feedback/ and spill/ subdirectories of either.
 //
-// With -specdir the same process serves a multi-tenant fleet — one
-// isolated System per {tenant}.json spec, routed by path
-// (POST /db/{name}/translate) with a bounded LRU working set,
-// per-tenant admission budgets and breakers, and per-tenant state
-// under -statedir/{tenant}/. See serve_fleet.go.
+// -maxtenants, -tenantidle, -tenantinflight, -tenantqueue,
+// -tenantmemlimit and -trainbudget shape the fleet and apply to
+// -specdir only: the -spec tenant gets the whole -maxinflight,
+// -maxqueue and -memlimit. -loadmodels applies to -spec only, since
+// one model file cannot fit many schemas.
 package main
 
 import (
@@ -45,23 +62,19 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/gar"
 	"repro/internal/admit"
-	"repro/internal/breaker"
 	"repro/internal/checkpoint"
-	"repro/internal/feedback"
 	"repro/internal/fleet"
-	"repro/internal/spill"
 )
 
-// serveConfig holds the tunables of the HTTP service.
+// serveConfig holds the tunables of the HTTP surface; the admission,
+// breaker and durability knobs live in fleet.Config.
 type serveConfig struct {
 	// Timeout bounds each translation (the request context is also
 	// honored, so a disconnecting client cancels its work).
@@ -70,52 +83,8 @@ type serveConfig struct {
 	MaxBody int64
 	// TopK caps the candidates returned per translation.
 	TopK int
-
-	// MaxInFlight bounds concurrent translations; MaxQueue bounds how
-	// many more may wait for a slot before new arrivals are shed with
-	// 429. RetryAfter is the back-off hint attached to sheds.
-	MaxInFlight int
-	MaxQueue    int
-	RetryAfter  time.Duration
-
-	// BreakerFailures consecutive re-rank failures trip the breaker
-	// into retrieval-only mode for BreakerCooldown; NoBreaker disables
-	// it.
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	NoBreaker       bool
-
-	// Reload rebuilds the system state (pool, models, content) and
-	// swaps it in; wired by runServe to re-read the spec. nil disables
-	// POST /reload.
-	Reload func(ctx context.Context) error
 	// ReloadTimeout bounds one reload (default 5m).
 	ReloadTimeout time.Duration
-
-	// Ckpt, when set, is the background checkpointer persisting the
-	// serving state; /healthz reports its last generation, age and
-	// counters. nil when -statedir is not given.
-	Ckpt *gar.Checkpointer
-
-	// Feedback, when set, enables POST /feedback: the durable WAL, the
-	// background trainer and the accept/reject tallies. nil when
-	// -feedback is not given.
-	Feedback *feedbackState
-
-	// ExecGuide mirrors the system's execution-guided reranking switch;
-	// /healthz reports the stage's counters when it is on.
-	ExecGuide bool
-}
-
-type server struct {
-	sys *gar.System
-	cfg serveConfig
-	ctl *admit.Controller
-	br  *breaker.Breaker
-
-	// reloadMu serializes POST /reload; a second concurrent reload is
-	// answered 409 instead of queueing behind the first.
-	reloadMu sync.Mutex
 }
 
 type translateRequest struct {
@@ -129,7 +98,7 @@ type candidateJSON struct {
 }
 
 type translateResponse struct {
-	// Tenant names the database that answered; set in fleet mode only.
+	// Tenant names the database that answered.
 	Tenant     string          `json:"tenant,omitempty"`
 	SQL        string          `json:"sql"`
 	Dialect    string          `json:"dialect"`
@@ -144,52 +113,6 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-// newServeHandler assembles the routed handler with the panic-recovery
-// middleware outermost, so no handler bug can kill the process.
-func newServeHandler(sys *gar.System, cfg serveConfig) http.Handler {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 1 << 20
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 5
-	}
-	if cfg.BreakerFailures <= 0 {
-		cfg.BreakerFailures = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.ReloadTimeout <= 0 {
-		cfg.ReloadTimeout = 5 * time.Minute
-	}
-	s := &server{
-		sys: sys,
-		cfg: cfg,
-		ctl: admit.New(admit.Config{
-			MaxInFlight: cfg.MaxInFlight,
-			MaxQueue:    cfg.MaxQueue,
-			RetryAfter:  cfg.RetryAfter,
-		}),
-	}
-	if !cfg.NoBreaker {
-		s.br = breaker.New(breaker.Config{
-			FailureThreshold: cfg.BreakerFailures,
-			Cooldown:         cfg.BreakerCooldown,
-		})
-		sys.SetRerankBreaker(s.br)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/translate", s.handleTranslate)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/reload", s.handleReload)
-	mux.HandleFunc("/feedback", s.handleFeedback)
-	return recoverMiddleware(mux)
-}
-
 // recoverMiddleware converts handler panics into JSON 500 responses.
 func recoverMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -201,188 +124,6 @@ func recoverMiddleware(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// breakerJSON reports the re-rank breaker for health endpoints; the
-// snapshot's own MarshalJSON renders the wire shape.
-func (s *server) breakerJSON() any {
-	if s.br == nil {
-		return map[string]any{"state": "disabled"}
-	}
-	return s.br.Snapshot()
-}
-
-// handleHealthz reports live service health: pool and generation,
-// breaker position, and admission occupancy. While no translatable
-// snapshot is published (startup, or a bare re-Prepare) it answers
-// 503 so load balancers stop routing here.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use GET"})
-		return
-	}
-	st := s.ctl.Stats()
-	cs := s.sys.CacheStats()
-	body := map[string]any{
-		"pool":       s.sys.PoolSize(),
-		"generation": s.sys.Generation(),
-		"breaker":    s.breakerJSON(),
-		"caches": map[string]any{
-			"embeddings":   cs.Embeddings,
-			"translations": cs.Translations,
-		},
-		"admission": map[string]any{
-			"in_flight":       st.InFlight,
-			"queued":          st.Queued,
-			"peak_in_flight":  st.PeakInFlight,
-			"max_in_flight":   s.ctl.MaxInFlight(),
-			"admitted":        st.Admitted,
-			"shed_queue_full": st.ShedQueueFull,
-			"shed_deadline":   st.ShedDeadline,
-		},
-	}
-	if s.cfg.Ckpt != nil {
-		cs := s.cfg.Ckpt.Stats()
-		ck := map[string]any{
-			"last_generation": cs.LastGeneration,
-			"writes":          cs.Writes,
-			"failures":        cs.Failures,
-			"pruned":          cs.Pruned,
-			"pending":         cs.Pending,
-		}
-		if cs.LastUnix > 0 {
-			ck["age_seconds"] = time.Now().Unix() - cs.LastUnix
-		}
-		if cs.LastError != "" {
-			ck["last_error"] = cs.LastError
-		}
-		body["checkpoint"] = ck
-	}
-	if s.cfg.Feedback != nil {
-		body["feedback"] = s.cfg.Feedback.healthJSON()
-	}
-	if s.cfg.ExecGuide {
-		es := s.sys.ExecGuideStats()
-		body["execguide"] = map[string]any{
-			"enabled":  true,
-			"executed": es.Executed,
-			"demoted":  es.Demoted,
-			"errors":   es.Errors,
-			"timeouts": es.Timeouts,
-		}
-	}
-	if ms := s.sys.MemStats(); ms.Budget != nil {
-		// Resource governance: live budget usage, the published
-		// snapshot's footprint, spill gauges, and the degradation record.
-		body["memory"] = ms
-	}
-	if !s.sys.Ready() {
-		body["status"] = "unavailable"
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
-	}
-	status := "ok"
-	if s.br != nil && s.br.State() != breaker.Closed {
-		// Serving, but re-ranking is tripped: retrieval-only answers.
-		status = "degraded"
-	}
-	body["status"] = status
-	writeJSON(w, http.StatusOK, body)
-}
-
-// handleReadyz is the readiness probe, distinct from /healthz: it
-// answers 200 exactly when a complete translatable snapshot is
-// published, and reports the breaker position so orchestrators can
-// see a degraded-but-serving instance.
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use GET"})
-		return
-	}
-	if !s.sys.Ready() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"ready":   false,
-			"reason":  "no snapshot published",
-			"breaker": s.breakerJSON(),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ready":      true,
-		"generation": s.sys.Generation(),
-		"breaker":    s.breakerJSON(),
-	})
-}
-
-// handleReload rebuilds pool, models and content from the (re-read)
-// spec off to the side and atomically swaps them in; translations keep
-// serving the old snapshot throughout. Reloads are serialized: a
-// concurrent reload answers 409.
-func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use POST"})
-		return
-	}
-	if s.cfg.Reload == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "reload not configured"})
-		return
-	}
-	if !s.reloadMu.TryLock() {
-		writeJSON(w, http.StatusConflict, errorJSON{Error: "reload already in progress"})
-		return
-	}
-	defer s.reloadMu.Unlock()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ReloadTimeout)
-	defer cancel()
-	start := time.Now()
-	if err := s.cfg.Reload(ctx); err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: "reload failed: " + err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"generation": s.sys.Generation(),
-		"pool":       s.sys.PoolSize(),
-		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	})
-}
-
-func (s *server) handleTranslate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use POST"})
-		return
-	}
-	if !s.sys.Ready() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "no snapshot published"})
-		return
-	}
-	req, ok := decodeTranslate(w, r, s.cfg.MaxBody)
-	if !ok {
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-
-	// Admission: take a worker slot, or wait for one only as long as
-	// the deadline allows. Shed requests fail fast with 429 so a
-	// saturated server answers immediately instead of timing everyone
-	// out.
-	release, err := s.ctl.Acquire(ctx)
-	if err != nil {
-		writeAdmitError(w, err)
-		return
-	}
-	defer release()
-
-	start := time.Now()
-	res, err := s.sys.TranslateContext(ctx, req.Question)
-	if err != nil {
-		writeTranslateError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, translateJSON(res, s.cfg.TopK, start, ""))
 }
 
 // decodeTranslate reads and validates a translate request body, writing
@@ -466,57 +207,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// buildServingSystem assembles the system runServe serves. Durable
-// state: with a state directory the newest valid checkpoint brings the
-// complete serving snapshot back in seconds — no Prepare, no Train.
-// Recovery falls back generation-by-generation past corrupt or
-// incompatible files; only when nothing valid exists does the server
-// cold-build from the spec (or, with a schema-only spec, start on a
-// clean empty state answering 503 until a reload). Without a state
-// directory it cold-builds directly and returns a nil store.
-func buildServingSystem(stateDir string, s *spec, opts gar.Options, loadModels string,
-	logf func(format string, args ...any)) (*gar.System, *checkpoint.Store, bool, error) {
-	if stateDir == "" {
-		sys, _, err := buildSystem(s, opts, loadModels)
-		return sys, nil, false, err
-	}
-	ckStore, err := checkpoint.Open(stateDir)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if removed, err := ckStore.CleanTemp(); err != nil {
-		logf("%v", err)
-	} else if len(removed) > 0 {
-		logf("removed %d abandoned temp file(s) from %s", len(removed), stateDir)
-	}
-	sys, _, err := newSystem(s, opts)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	ck, skipped, err := sys.RecoverCheckpoint(ckStore)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	for _, sk := range skipped {
-		logf("skipping checkpoint %s: %v", sk.Path, sk.Err)
-	}
-	switch {
-	case ck != nil:
-		logf("warm start from checkpoint generation %d (%d candidates)",
-			ck.Manifest.Generation, sys.PoolSize())
-		return sys, ckStore, true, nil
-	case len(s.Samples) > 0:
-		logf("no recoverable checkpoint; cold-building from spec")
-		if _, err := deploySystem(sys, s, opts, loadModels); err != nil {
-			return nil, nil, false, err
-		}
-		return sys, ckStore, false, nil
-	default:
-		logf("no recoverable checkpoint and no sample queries; serving 503 until a reload provides state")
-		return sys, ckStore, false, nil
-	}
-}
-
 // runServe is the `gar serve` entry point.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("gar serve", flag.ExitOnError)
@@ -525,7 +215,7 @@ func runServe(args []string) {
 	demo := fs.Bool("demo", false, "use the built-in employee demo database")
 	garJ := fs.Bool("j", false, "enable GAR-J (use join annotations)")
 	pool := fs.Int("pool", 2000, "generalized candidate pool size")
-	loadModels := fs.String("loadmodels", "", "load ranking models instead of training")
+	loadModels := fs.String("loadmodels", "", "-spec only: load ranking models instead of training")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request translation timeout")
 	maxBody := fs.Int64("maxbody", 1<<20, "maximum request body size in bytes")
 	topK := fs.Int("top", 5, "number of candidates returned per translation")
@@ -544,16 +234,16 @@ func runServe(args []string) {
 	stateDir := fs.String("statedir", "", "durable serving-state directory: warm-start from the newest valid checkpoint and checkpoint after every state change")
 	keepCkpt := fs.Int("keepckpt", 3, "checkpoint generations retained in -statedir")
 	specDir := fs.String("specdir", "", "directory of per-tenant JSON database specs ({tenant}.json): serve a multi-tenant fleet")
-	maxTenants := fs.Int("maxtenants", 8, "fleet mode: tenants resident in memory at once (LRU eviction beyond)")
-	tenantIdle := fs.Duration("tenantidle", 15*time.Minute, "fleet mode: evict tenants idle this long (0 disables)")
-	tenantInFlight := fs.Int("tenantinflight", 0, "fleet mode: per-tenant concurrent translations (0 = maxinflight/maxtenants)")
-	tenantQueue := fs.Int("tenantqueue", 0, "fleet mode: per-tenant queue depth (0 = maxqueue/maxtenants)")
+	maxTenants := fs.Int("maxtenants", 8, "-specdir only: tenants resident in memory at once (LRU eviction beyond)")
+	tenantIdle := fs.Duration("tenantidle", 15*time.Minute, "-specdir only: evict tenants idle this long (0 disables)")
+	tenantInFlight := fs.Int("tenantinflight", 0, "-specdir only: per-tenant concurrent translations (0 = maxinflight/maxtenants)")
+	tenantQueue := fs.Int("tenantqueue", 0, "-specdir only: per-tenant queue depth (0 = maxqueue/maxtenants)")
 	memLimit := fs.Int64("memlimit", 0, "serving-state memory budget in bytes: pool, embeddings and caches spill or degrade instead of growing past it (0 = unbounded)")
-	tenantMemLimit := fs.Int64("tenantmemlimit", 0, "fleet mode: per-tenant share of -memlimit in bytes (0 = memlimit/maxtenants)")
+	tenantMemLimit := fs.Int64("tenantmemlimit", 0, "-specdir only: per-tenant share of -memlimit in bytes (0 = memlimit/maxtenants)")
 	feedbackOn := fs.Bool("feedback", false, "accept POST /feedback into a durable WAL and retrain in the background (requires -statedir)")
 	shadowThreshold := fs.Float64("shadowthreshold", 0, "how much worse (shadow top-1 exact match) a retrained candidate may score and still be promoted")
 	trainInterval := fs.Duration("traininterval", 30*time.Second, "quiet window after feedback arrives before a background retrain starts")
-	trainBudget := fs.Int("trainbudget", 1, "fleet mode: tenants allowed to retrain concurrently")
+	trainBudget := fs.Int("trainbudget", 1, "-specdir only: tenants allowed to retrain concurrently")
 	if err := fs.Parse(args); err != nil {
 		// Unreachable with ExitOnError, but the error stays handled if
 		// the flag set's policy ever changes.
@@ -586,9 +276,41 @@ func runServe(args []string) {
 		fatal(fmt.Errorf("gar serve: -memlimit %d bytes is below the %d-byte (1 MiB) floor: a budget that small cannot hold even a minimal serving snapshot; raise it or pass 0 for unbounded", *memLimit, minMemLimit))
 	}
 
+	src := &specDirSource{
+		dir:        *specDir,
+		specPath:   *specPath,
+		demo:       *demo,
+		stateDir:   *stateDir,
+		loadModels: *loadModels,
+		opts:       opts,
+	}
+	fcfg := fleet.Config{
+		MaxActive:       *maxTenants,
+		IdleAfter:       *tenantIdle,
+		MaxInFlight:     *maxInFlight,
+		MaxQueue:        *maxQueue,
+		TenantInFlight:  *tenantInFlight,
+		TenantQueue:     *tenantQueue,
+		RetryAfter:      *retryAfter,
+		BreakerFailures: *breakerFailures,
+		BreakerCooldown: *breakerCooldown,
+		NoBreaker:       *noBreaker,
+		Keep:            *keepCkpt,
+		Feedback:        *feedbackOn,
+		TrainInterval:   *trainInterval,
+		ShadowThreshold: *shadowThreshold,
+		TrainBudget:     *trainBudget,
+		MemLimit:        *memLimit,
+		TenantMemLimit:  *tenantMemLimit,
+	}
+	var names []string
+	root := ""
 	if *specDir != "" {
 		if *specPath != "" || *demo {
 			fatal(fmt.Errorf("gar serve: -specdir is exclusive with -spec and -demo"))
+		}
+		if *loadModels != "" {
+			fatal(fmt.Errorf("gar serve: -loadmodels does not apply to -specdir: one model file cannot fit every tenant's schema"))
 		}
 		if *memLimit > 0 {
 			// The fleet splits the process budget across resident
@@ -602,186 +324,121 @@ func runServe(args []string) {
 				fatal(fmt.Errorf("gar serve: the per-tenant memory share (%d bytes) is below the %d-byte (1 MiB) floor; raise -memlimit or -tenantmemlimit, or lower -maxtenants", share, minMemLimit))
 			}
 		}
-		runServeFleet(fleetServeParams{
-			Addr:    *addr,
-			SpecDir: *specDir,
-			Opts:    opts,
-			Cfg: serveConfig{
-				Timeout:   *timeout,
-				MaxBody:   *maxBody,
-				TopK:      *topK,
-				ExecGuide: *execGuide,
-			},
-			Fleet: fleet.Config{
-				MaxActive:       *maxTenants,
-				IdleAfter:       *tenantIdle,
-				MaxInFlight:     *maxInFlight,
-				MaxQueue:        *maxQueue,
-				TenantInFlight:  *tenantInFlight,
-				TenantQueue:     *tenantQueue,
-				RetryAfter:      *retryAfter,
-				BreakerFailures: *breakerFailures,
-				BreakerCooldown: *breakerCooldown,
-				NoBreaker:       *noBreaker,
-				StateDir:        *stateDir,
-				Keep:            *keepCkpt,
-				Feedback:        *feedbackOn,
-				TrainInterval:   *trainInterval,
-				ShadowThreshold: *shadowThreshold,
-				TrainBudget:     *trainBudget,
-				MemLimit:        *memLimit,
-				TenantMemLimit:  *tenantMemLimit,
-			},
-		})
-		return
-	}
-
-	if *memLimit > 0 {
-		opts.MemBudget = *memLimit
-		// Spill lives beside the durable state when there is any, in a
-		// private temp directory otherwise. Runs are per-build scratch:
-		// anything present at startup was orphaned by a previous
-		// process, so sweep before the first build can write.
-		spillDir := ""
-		if *stateDir != "" {
-			spillDir = filepath.Join(*stateDir, "spill")
-		} else if d, err := os.MkdirTemp("", "gar-spill-"); err != nil {
-			fatal(fmt.Errorf("gar serve: creating spill directory: %w", err))
-		} else {
-			spillDir = d
-			defer os.RemoveAll(d)
+		var err error
+		if names, err = tenantNames(*specDir); err != nil {
+			fatal(err)
 		}
-		if removed, err := spill.Sweep(spillDir); err != nil {
-			fmt.Fprintf(os.Stderr, "gar serve: sweeping spill directory: %v\n", err)
-		} else if len(removed) > 0 {
-			fmt.Fprintf(os.Stderr, "gar serve: removed %d orphaned spill file(s) from %s\n", len(removed), spillDir)
+		if len(names) == 0 {
+			fatal(fmt.Errorf("gar serve: no tenant specs (*.json) in %s", *specDir))
 		}
-		opts.SpillDir = spillDir
-	}
-
-	s, err := loadSpec(*specPath, *demo)
-	if err != nil {
-		fatal(err)
-	}
-
-	sys, ckStore, warm, err := buildServingSystem(*stateDir, s, opts, *loadModels,
-		func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
-		})
-	if err != nil {
-		fatal(err)
-	}
-
-	// Background checkpointer: every published state change (cold
-	// build, reload swap, retrain) schedules a durable checkpoint;
-	// bursts coalesce and failed writes retry with jittered backoff.
-	var ckptr *gar.Checkpointer
-	if ckStore != nil {
-		ckptr = sys.NewCheckpointer(ckStore, gar.CheckpointerConfig{
-			Keep: *keepCkpt,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
-			},
-		})
-		ckptr.Start()
-		if sys.Ready() && !warm {
-			// Persist the freshly cold-built state now, so a crash
-			// before the first reload already has something to recover.
-			ckptr.Notify()
-		}
-	}
-
-	// Online feedback loop: a durable WAL inside the state directory
-	// plus a background trainer that folds accepted feedback into the
-	// spec's corpus, retrains off the serving path, and promotes only
-	// through the shadow gate (with checkpoint-backed rollback).
-	var fb *feedbackState
-	if *feedbackOn {
-		flog, err := feedback.Open(filepath.Join(*stateDir, "feedback"), feedback.Config{})
+	} else {
+		s, err := loadSpec(*specPath, *demo)
 		if err != nil {
 			fatal(err)
 		}
-		base := func() (gar.BaseData, error) {
-			fresh, err := loadSpec(*specPath, *demo)
-			if err != nil {
-				return gar.BaseData{}, err
-			}
-			return specBase(fresh), nil
-		}
-		trainer := sys.NewTrainer(flog, ckStore, base, gar.TrainerConfig{
-			Interval:        *trainInterval,
-			ShadowThreshold: *shadowThreshold,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
-			},
-		})
-		trainer.Start()
-		if flog.LastSeq() > 0 {
-			// Feedback recorded before the last shutdown may not have
-			// been trained on yet; wake the trainer to fold it in.
-			trainer.Notify()
-		}
-		fb = &feedbackState{log: flog, trainer: trainer}
+		root = specTenant(s)
+		names = []string{root}
+		// One tenant that is never evicted: its admission split and
+		// memory share are the whole -maxinflight, -maxqueue and
+		// -memlimit.
+		fcfg.MaxActive, fcfg.IdleAfter = 1, 0
+		fcfg.TenantInFlight, fcfg.TenantQueue, fcfg.TenantMemLimit = 0, 0, 0
 	}
+	serveFleet(*addr, src, fcfg, names, root, serveConfig{
+		Timeout: *timeout,
+		MaxBody: *maxBody,
+		TopK:    *topK,
+	})
+}
 
-	// Reload re-reads the spec (and model file, if any), rebuilds a
-	// complete new state off to the side, and publishes it with one
-	// atomic snapshot swap — in-flight and new translations keep
-	// hitting the old snapshot until the swap.
-	reload := func(ctx context.Context) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fresh, err := loadSpec(*specPath, *demo)
-		if err != nil {
-			return err
-		}
-		content, models, err := reloadModels(fresh, opts, *loadModels)
-		if err != nil {
-			return err
-		}
-		if content != nil {
-			sys.SetContent(content)
-		}
-		gen, err := sys.Swap(fresh.Samples, models)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "gar serve: reloaded, generation %d, %d candidates\n", gen, sys.PoolSize())
-		return nil
+// specTenant names the lone tenant of a -spec or -demo server: the
+// spec's database name when it is a valid tenant name, "default"
+// otherwise.
+func specTenant(s *spec) string {
+	if checkpoint.ValidTenantName(s.Database.Name) {
+		return s.Database.Name
 	}
+	return "default"
+}
 
-	srv := &http.Server{
-		Addr: *addr,
-		Handler: newServeHandler(sys, serveConfig{
-			Timeout:         *timeout,
-			MaxBody:         *maxBody,
-			TopK:            *topK,
-			MaxInFlight:     *maxInFlight,
-			MaxQueue:        *maxQueue,
-			RetryAfter:      *retryAfter,
-			BreakerFailures: *breakerFailures,
-			BreakerCooldown: *breakerCooldown,
-			NoBreaker:       *noBreaker,
-			Reload:          reload,
-			Ckpt:            ckptr,
-			Feedback:        fb,
-			ExecGuide:       *execGuide,
-		}),
-		ReadHeaderTimeout: 5 * time.Second,
+// openFleet registers names with a new registry. A non-empty root is
+// the lone tenant of a -spec server: it is activated before openFleet
+// returns, so a build error surfaces here (the caller exits on it) and
+// the server announces "ready" only after a published snapshot.
+func openFleet(src fleet.Source, fcfg fleet.Config, names []string, root string) (*fleet.Registry, error) {
+	reg := fleet.New(src, fcfg)
+	for _, name := range names {
+		if err := reg.Register(name); err != nil {
+			return nil, err
+		}
 	}
+	if root != "" {
+		h, err := reg.Acquire(context.Background(), root)
+		if err != nil {
+			return nil, err
+		}
+		h.Release()
+	}
+	return reg, nil
+}
 
-	// Listen before announcing readiness so the logged address is the
-	// bound one (":0" resolves to a real port — the restart tests rely
-	// on reading it back).
-	ln, err := net.Listen("tcp", *addr)
+// serveFleet serves the tenants until SIGINT or SIGTERM, then drains
+// the requests and flushes every tenant.
+func serveFleet(addr string, src fleet.Source, fcfg fleet.Config, names []string, root string, cfg serveConfig) {
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
+	}
+	fcfg.Logf = logf
+	reg, err := openFleet(src, fcfg, names, root)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "gar serve: %d candidate queries ready on %s\n", sys.PoolSize(), ln.Addr())
+	what := fmt.Sprintf("fleet of %d tenants", len(names))
+	if root != "" {
+		th, err := reg.TenantHealth(root)
+		if err != nil {
+			fatal(err)
+		}
+		what = fmt.Sprintf("%d candidate queries", th.Pool)
+	}
+
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           newFleetHandler(reg, cfg, root),
+		ReadHeaderTimeout: 5 * time.Second,
+	}
+	// Listen before announcing readiness so the logged address is the
+	// bound one (":0" resolves to a real port — the restart tests rely
+	// on reading it back).
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fatal(err)
+	}
+	logf("%s ready on %s", what, ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
+
+	// Idle reaper: periodically evict tenants idle past -tenantidle,
+	// each flushed before its snapshot is dropped.
+	if fcfg.IdleAfter > 0 {
+		go func() {
+			period := max(fcfg.IdleAfter/4, time.Second)
+			tick := time.NewTicker(period)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					if n := reg.EvictIdle(ctx); n > 0 {
+						logf("idle reaper evicted %d tenant(s)", n)
+					}
+				}
+			}
+		}()
+	}
+
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -789,37 +446,19 @@ func runServe(args []string) {
 		fatal(err)
 	case <-ctx.Done():
 	}
-	fmt.Fprintln(os.Stderr, "gar serve: draining connections")
-	// One shutdown window covers the whole sequence — drain in-flight
-	// requests, then flush the final checkpoint — so a slow drain
-	// cannot silently double the time to exit.
+	logf("draining connections")
+	// One window bounds the whole sequence — drain every tenant's
+	// in-flight requests, then flush every tenant's final checkpoint —
+	// so a slow drain cannot silently double the time to exit.
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		fatal(err)
 	}
-	if fb != nil {
-		// Stop the trainer before the final checkpoint flush so no
-		// promotion publishes after the state that is supposed to be
-		// last. Pending feedback is already fsynced in the WAL; the next
-		// process trains on it.
-		fb.trainer.Stop()
-	}
-	if ckptr != nil {
-		// Final flush: no more mutations can arrive, so stop the
-		// background writer and persist the last published state
-		// synchronously — the restart warm-starts from exactly what
-		// this process was serving.
-		if err := ckptr.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "gar serve: final checkpoint flush failed: %v\n", err)
-		} else if st := ckptr.Stats(); st.Writes > 0 {
-			fmt.Fprintf(os.Stderr, "gar serve: final checkpoint flushed (generation %d)\n", st.LastGeneration)
-		}
-	}
-	if fb != nil {
-		if err := fb.log.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "gar serve: closing feedback log: %v\n", err)
-		}
+	if err := reg.Shutdown(shutdownCtx); err != nil {
+		logf("fleet shutdown: %v", err)
+	} else {
+		logf("fleet flushed and stopped")
 	}
 }
 

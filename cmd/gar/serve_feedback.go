@@ -1,8 +1,8 @@
 // The feedback endpoint of the online learning loop:
 //
-//	POST /feedback            {"question": "...", "chosen": 0}
-//	POST /feedback            {"question": "...", "sql": "SELECT ..."}
-//	POST /db/{name}/feedback  (fleet mode, same bodies)
+//	POST /db/{name}/feedback  {"question": "...", "chosen": 0}
+//	POST /db/{name}/feedback  {"question": "...", "sql": "SELECT ..."}
+//	POST /feedback            (the -spec tenant, same bodies)
 //
 // A submission either endorses one of the candidates a /translate
 // response offered ("chosen", an index into its candidates array) or
@@ -21,11 +21,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
-	"repro/gar"
 	"repro/internal/feedback"
-	"repro/internal/fleet"
 )
 
 type feedbackRequest struct {
@@ -43,27 +40,6 @@ type feedbackResponse struct {
 	Accepted bool   `json:"accepted"`
 	Seq      uint64 `json:"seq"`
 	Source   string `json:"source"`
-}
-
-// feedbackState couples the single-tenant server's WAL, trainer and
-// accept/reject tallies (fleet mode keeps the same state per tenant in
-// the registry).
-type feedbackState struct {
-	log      *feedback.Log
-	trainer  *gar.Trainer
-	accepted atomic.Uint64
-	rejected atomic.Uint64
-}
-
-// healthJSON is the /healthz feedback block, shaped like fleet mode's
-// per-tenant row.
-func (fb *feedbackState) healthJSON() fleet.FeedbackHealth {
-	return fleet.FeedbackHealth{
-		Accepted: fb.accepted.Load(),
-		Rejected: fb.rejected.Load(),
-		WAL:      fb.log.Stats(),
-		Trainer:  fb.trainer.Stats(),
-	}
 }
 
 // decodeFeedback reads and validates a feedback request body, writing
@@ -91,94 +67,12 @@ func decodeFeedback(w http.ResponseWriter, r *http.Request, maxBody int64) (feed
 	return req, true
 }
 
-// acceptFeedback validates one decoded submission against the serving
-// system and, if it survives, durably records it and wakes the
-// trainer. It reports the HTTP status and body; countRejected is
-// bumped for submissions refused at validation (not for transport or
-// storage errors — those are the server's fault, not the client's).
-func acceptFeedback(ctx context.Context, sys *gar.System, flog *feedback.Log, trainer *gar.Trainer,
-	req feedbackRequest, tenant string, countRejected func()) (int, any) {
-	rec := feedback.Record{
-		Question:   req.Question,
-		Generation: sys.Generation(),
-	}
-	if req.Chosen != nil {
-		// Endorsing a candidate: re-translate the question on the live
-		// snapshot and index into its candidates, so the endorsed SQL is
-		// exactly what the system offered.
-		res, err := sys.TranslateContext(ctx, req.Question)
-		if err != nil {
-			return http.StatusInternalServerError, errorJSON{Error: "translating question: " + err.Error()}
-		}
-		if *req.Chosen < 0 || *req.Chosen >= len(res.Candidates) {
-			countRejected()
-			return http.StatusUnprocessableEntity,
-				errorJSON{Error: "chosen index out of range (the question has " +
-					strconv.Itoa(len(res.Candidates)) + " candidates)"}
-		}
-		rec.SQL = res.Candidates[*req.Chosen].SQL
-		rec.Source = feedback.SourceChosen
-	} else {
-		// A correction: re-parse and re-bind against the schema before
-		// anything touches disk.
-		if err := sys.ValidateSQL(req.SQL); err != nil {
-			countRejected()
-			return http.StatusUnprocessableEntity, errorJSON{Error: err.Error()}
-		}
-		rec.SQL = req.SQL
-		rec.Source = feedback.SourceCorrected
-	}
-
-	seq, err := flog.Append(rec)
-	if err != nil {
-		// Not acknowledged: the record is not durable, the client should
-		// retry. No sequence number was consumed.
-		return http.StatusInternalServerError, errorJSON{Error: "feedback not recorded: " + err.Error()}
-	}
-	rec.Seq = seq
-	trainer.ObserveFeedback(ctx, rec)
-	trainer.Notify()
-	return http.StatusAccepted, feedbackResponse{
-		Tenant:   tenant,
-		Accepted: true,
-		Seq:      seq,
-		Source:   rec.Source,
-	}
-}
-
-// handleFeedback is the single-tenant POST /feedback endpoint.
-func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use POST"})
-		return
-	}
-	fb := s.cfg.Feedback
-	if fb == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "feedback not enabled (start with -feedback)"})
-		return
-	}
-	if !s.sys.Ready() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "no snapshot published"})
-		return
-	}
-	req, ok := decodeFeedback(w, r, s.cfg.MaxBody)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	status, body := acceptFeedback(ctx, s.sys, fb.log, fb.trainer, req, "",
-		func() { fb.rejected.Add(1) })
-	if status == http.StatusAccepted {
-		fb.accepted.Add(1)
-	}
-	writeJSON(w, status, body)
-}
-
-// handleFeedback is the fleet POST /db/{name}/feedback endpoint.
-func (s *fleetServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
+// handleFeedback is the POST /db/{name}/feedback endpoint. It
+// validates one submission against the tenant's live system and, if it
+// survives, durably records it and wakes the tenant's trainer.
+// Submissions refused at validation count as rejected; transport and
+// storage errors are the server's fault, not the client's, and do not.
+func (s *fleetServer) handleFeedback(w http.ResponseWriter, r *http.Request, name string) {
 	req, ok := decodeFeedback(w, r, s.cfg.MaxBody)
 	if !ok {
 		return
@@ -191,19 +85,65 @@ func (s *fleetServer) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.Release()
-	if h.FeedbackLog() == nil || h.Trainer() == nil {
-		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "feedback not enabled for this fleet"})
+	flog, trainer, sys := h.FeedbackLog(), h.Trainer(), h.Sys()
+	if flog == nil || trainer == nil {
+		writeJSON(w, http.StatusNotImplemented, errorJSON{Error: "feedback not enabled (start with -feedback)"})
 		return
 	}
-	if !h.Sys().Ready() {
+	if !sys.Ready() {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: "tenant " + name + ": no snapshot published"})
 		return
 	}
-	status, body := acceptFeedback(ctx, h.Sys(), h.FeedbackLog(), h.Trainer(), req, name,
-		func() { h.CountFeedback(false) })
-	if status == http.StatusAccepted {
-		h.CountFeedback(true)
+
+	rec := feedback.Record{
+		Question:   req.Question,
+		Generation: sys.Generation(),
 	}
-	writeJSON(w, status, body)
+	if req.Chosen != nil {
+		// Endorsing a candidate: re-translate the question on the live
+		// snapshot and index into its candidates, so the endorsed SQL is
+		// exactly what the system offered.
+		res, err := sys.TranslateContext(ctx, req.Question)
+		if err != nil {
+			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: "translating question: " + err.Error()})
+			return
+		}
+		if *req.Chosen < 0 || *req.Chosen >= len(res.Candidates) {
+			h.CountFeedback(false)
+			writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: "chosen index out of range (the question has " +
+				strconv.Itoa(len(res.Candidates)) + " candidates)"})
+			return
+		}
+		rec.SQL = res.Candidates[*req.Chosen].SQL
+		rec.Source = feedback.SourceChosen
+	} else {
+		// A correction: re-parse and re-bind against the schema before
+		// anything touches disk.
+		if err := sys.ValidateSQL(req.SQL); err != nil {
+			h.CountFeedback(false)
+			writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: err.Error()})
+			return
+		}
+		rec.SQL = req.SQL
+		rec.Source = feedback.SourceCorrected
+	}
+
+	seq, err := flog.Append(rec)
+	if err != nil {
+		// Not acknowledged: the record is not durable, the client should
+		// retry. No sequence number was consumed.
+		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: "feedback not recorded: " + err.Error()})
+		return
+	}
+	rec.Seq = seq
+	trainer.ObserveFeedback(ctx, rec)
+	trainer.Notify()
+	h.CountFeedback(true)
+	writeJSON(w, http.StatusAccepted, feedbackResponse{
+		Tenant:   name,
+		Accepted: true,
+		Seq:      seq,
+		Source:   rec.Source,
+	})
 }

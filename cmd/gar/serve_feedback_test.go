@@ -1,44 +1,41 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/gar"
-	"repro/internal/checkpoint"
 	"repro/internal/feedback"
 	"repro/internal/fleet"
 )
 
-// feedbackHandler builds a single-tenant handler with the feedback
-// endpoint armed: a real WAL and trainer over the demo spec, the
-// trainer left unstarted so no background cycle races the assertions.
-func feedbackHandler(t *testing.T) (http.Handler, *feedbackState) {
+// feedbackHandler builds a one-tenant demo server with the feedback
+// endpoint armed: a real WAL and trainer under a fresh -statedir, the
+// trainer's quiet window long enough that no background cycle races
+// the assertions.
+func feedbackHandler(t *testing.T) (http.Handler, *fleet.Registry) {
 	t.Helper()
-	s := demoSpec()
-	sys, _, err := buildSystem(s, gar.Options{
-		GeneralizeSize: 200, RetrievalK: 10, Seed: 1,
-		EncoderEpochs: 12, RerankEpochs: 30,
-	}, "")
+	src := demoSource()
+	src.stateDir = t.TempDir()
+	reg, h := newTestServer(t, src, fleet.Config{Feedback: true, TrainInterval: time.Hour}, serveConfig{})
+	return h, reg
+}
+
+// feedbackHealth is the tenant's feedback block.
+func feedbackHealth(t *testing.T, reg *fleet.Registry) *fleet.FeedbackHealth {
+	t.Helper()
+	row, err := reg.TenantHealth(testTenant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flog, err := feedback.Open(t.TempDir(), feedback.Config{})
-	if err != nil {
-		t.Fatal(err)
+	if row.Feedback == nil {
+		t.Fatalf("tenant has no feedback block: %+v", row)
 	}
-	t.Cleanup(func() { _ = flog.Close() })
-	st, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainer := sys.NewTrainer(flog, st,
-		func() (gar.BaseData, error) { return specBase(s), nil }, gar.TrainerConfig{})
-	fb := &feedbackState{log: flog, trainer: trainer}
-	return newServeHandler(sys, serveConfig{Feedback: fb}), fb
+	return row.Feedback
 }
 
 func postFeedback(h http.Handler, body string) *httptest.ResponseRecorder {
@@ -56,7 +53,7 @@ func TestServeFeedbackDisabled(t *testing.T) {
 }
 
 func TestServeFeedbackValidation(t *testing.T) {
-	h, fb := feedbackHandler(t)
+	h, reg := feedbackHandler(t)
 
 	for name, body := range map[string]string{
 		"malformed":      `not json`,
@@ -86,19 +83,20 @@ func TestServeFeedbackValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 422: %s", name, rec.Code, rec.Body)
 		}
 	}
-	if got := fb.rejected.Load(); got != 3 {
-		t.Errorf("rejected tally = %d, want 3", got)
+	fb := feedbackHealth(t, reg)
+	if fb.Rejected != 3 {
+		t.Errorf("rejected tally = %d, want 3", fb.Rejected)
 	}
-	if got := fb.accepted.Load(); got != 0 {
-		t.Errorf("accepted tally = %d, want 0", got)
+	if fb.Accepted != 0 {
+		t.Errorf("accepted tally = %d, want 0", fb.Accepted)
 	}
-	if fb.log.LastSeq() != 0 {
+	if fb.WAL.LastSeq != 0 {
 		t.Error("a rejected submission reached the WAL")
 	}
 }
 
 func TestServeFeedbackAccept(t *testing.T) {
-	h, fb := feedbackHandler(t)
+	h, reg := feedbackHandler(t)
 
 	rec := postFeedback(h, `{"question": "how many people work here", "sql": "SELECT COUNT(*) FROM employee"}`)
 	if rec.Code != http.StatusAccepted {
@@ -124,7 +122,12 @@ func TestServeFeedbackAccept(t *testing.T) {
 	}
 
 	// Both acks mean both records are durable and replayable.
-	recs, err := fb.log.Records()
+	hnd, err := reg.Acquire(context.Background(), testTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := hnd.FeedbackLog().Records()
+	hnd.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +178,8 @@ func TestServeFleetFeedback(t *testing.T) {
 		t.Fatalf("fleet feedback disabled: status %d: %s", rec.Code, rec.Body)
 	}
 
-	src := &specDirSource{dir: dir, opts: testServeOpts()}
-	reg, h := newTestFleet(t, src, fleet.Config{
-		StateDir: t.TempDir(), Feedback: true,
-	}, serveConfig{}, "acme")
+	src := &specDirSource{dir: dir, stateDir: t.TempDir(), opts: testServeOpts()}
+	reg, h := newTestFleet(t, src, fleet.Config{Feedback: true}, serveConfig{}, "acme")
 
 	rec = postFleetFeedback(h, "acme", `{"question": "fix", "sql": "SELEC nope"}`)
 	if rec.Code != http.StatusUnprocessableEntity {

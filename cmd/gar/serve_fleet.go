@@ -1,49 +1,50 @@
-// Fleet mode: `gar serve -specdir specs/` serves many databases from
-// one process. Every {tenant}.json in the spec directory is a tenant;
-// requests route by name:
-//
-//	POST /db/{name}/translate {"question": "..."}
-//	POST /db/{name}/reload
-//	GET  /db/{name}/healthz
-//	GET  /healthz   fleet-wide roll-up
-//	GET  /readyz    200 once at least one tenant serves a snapshot
-//
-// The registry (internal/fleet) keeps a bounded LRU working set of
-// resident tenants: cold tenants activate on first request —
-// warm-started from -statedir/{tenant}/ when a checkpoint exists —
-// and idle ones are evicted after a synchronous checkpoint flush.
-// Every tenant has its own admission budget and re-rank breaker, so
-// one saturated or failing database sheds or degrades alone.
 package main
 
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/gar"
+	"repro/internal/breaker"
 	"repro/internal/fleet"
 )
 
-// specDirSource builds tenant systems from {dir}/{tenant}.json specs.
-// It implements fleet.Source; the registry calls it concurrently for
-// different tenants.
+// specDirSource is the fleet.Source of `gar serve`: it builds tenant
+// systems from JSON specs — {dir}/{tenant}.json under -specdir, or the
+// one -spec file (or the built-in demo) for a one-tenant server. The
+// registry calls it concurrently for different tenants.
 type specDirSource struct {
-	dir  string
-	opts gar.Options
+	dir      string // -specdir; empty for the one-tenant server
+	specPath string // -spec; empty with demo
+	demo     bool
+	// stateDir is -statedir: the one tenant's state lives at its root,
+	// a -specdir tenant's under {stateDir}/{tenant}.
+	stateDir   string
+	loadModels string // -spec only
+	opts       gar.Options
 }
 
 func (s *specDirSource) load(name string) (*spec, error) {
+	if s.dir == "" {
+		return loadSpec(s.specPath, s.demo)
+	}
 	return loadSpec(filepath.Join(s.dir, name+".json"), false)
+}
+
+// StateDir keeps the single-database layout for -spec (checkpoints at
+// the root of -statedir) and gives each -specdir tenant its own
+// subdirectory.
+func (s *specDirSource) StateDir(name string) string {
+	if s.dir == "" || s.stateDir == "" {
+		return s.stateDir
+	}
+	return filepath.Join(s.stateDir, name)
 }
 
 // Cold assembles the schema-bound shell the registry warm-starts or
@@ -71,7 +72,7 @@ func (s *specDirSource) Deploy(ctx context.Context, name string, sys *gar.System
 	if len(sp.Samples) == 0 {
 		return false, nil
 	}
-	if _, err := deploySystem(sys, sp, s.opts, ""); err != nil {
+	if _, err := deploySystem(sys, sp, s.opts, s.loadModels); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -87,7 +88,7 @@ func (s *specDirSource) Reload(ctx context.Context, name string, sys *gar.System
 	if err != nil {
 		return err
 	}
-	content, models, err := reloadModels(sp, s.opts, "")
+	content, models, err := reloadModels(sp, s.opts, s.loadModels)
 	if err != nil {
 		return err
 	}
@@ -133,9 +134,12 @@ type fleetServer struct {
 	cfg serveConfig
 }
 
-// newFleetHandler assembles the fleet router with the panic-recovery
-// middleware outermost, mirroring the single-tenant handler.
-func newFleetHandler(reg *fleet.Registry, cfg serveConfig) http.Handler {
+// newFleetHandler assembles the router with the panic-recovery
+// middleware outermost, so no handler bug can kill the process. Every
+// tenant answers under /db/{name}/. With root set (the one-tenant
+// -spec server) the root paths alias root's routes; otherwise the root
+// /healthz and /readyz describe the whole fleet.
+func newFleetHandler(reg *fleet.Registry, cfg serveConfig, root string) http.Handler {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
@@ -150,12 +154,36 @@ func newFleetHandler(reg *fleet.Registry, cfg serveConfig) http.Handler {
 	}
 	s := &fleetServer{reg: reg, cfg: cfg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /db/{name}/translate", s.handleTranslate)
-	mux.HandleFunc("POST /db/{name}/reload", s.handleReload)
-	mux.HandleFunc("POST /db/{name}/feedback", s.handleFeedback)
-	mux.HandleFunc("GET /db/{name}/healthz", s.handleTenantHealthz)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
+	// handle registers one route; any other method on its path answers
+	// 405 in JSON, like every other error.
+	handle := func(method, path string, h http.HandlerFunc) {
+		mux.HandleFunc(method+" "+path, h)
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Allow", method)
+			writeJSON(w, http.StatusMethodNotAllowed, errorJSON{Error: "use " + method})
+		})
+	}
+	for _, rt := range []struct {
+		method, path string
+		h            func(w http.ResponseWriter, r *http.Request, name string)
+	}{
+		{http.MethodPost, "/translate", s.handleTranslate},
+		{http.MethodPost, "/reload", s.handleReload},
+		{http.MethodPost, "/feedback", s.handleFeedback},
+		{http.MethodGet, "/healthz", s.handleTenantHealthz},
+		{http.MethodGet, "/readyz", s.handleTenantReadyz},
+	} {
+		handle(rt.method, "/db/{name}"+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			rt.h(w, r, r.PathValue("name"))
+		})
+		if root != "" {
+			handle(rt.method, rt.path, func(w http.ResponseWriter, r *http.Request) { rt.h(w, r, root) })
+		}
+	}
+	if root == "" {
+		handle(http.MethodGet, "/healthz", s.handleHealthz)
+		handle(http.MethodGet, "/readyz", s.handleReadyz)
+	}
 	return recoverMiddleware(mux)
 }
 
@@ -182,8 +210,7 @@ func writeAcquireError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *fleetServer) handleTranslate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
+func (s *fleetServer) handleTranslate(w http.ResponseWriter, r *http.Request, name string) {
 	req, ok := decodeTranslate(w, r, s.cfg.MaxBody)
 	if !ok {
 		return
@@ -220,12 +247,11 @@ func (s *fleetServer) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, translateJSON(res, s.cfg.TopK, start, name))
 }
 
-func (s *fleetServer) handleReload(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
+func (s *fleetServer) handleReload(w http.ResponseWriter, r *http.Request, name string) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ReloadTimeout)
 	defer cancel()
 	start := time.Now()
-	gen, err := s.reg.Reload(ctx, name)
+	gen, pool, err := s.reg.Reload(ctx, name)
 	if err != nil {
 		if errors.Is(err, fleet.ErrReloadInProgress) {
 			writeJSON(w, http.StatusConflict, errorJSON{Error: err.Error()})
@@ -239,21 +265,23 @@ func (s *fleetServer) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusUnprocessableEntity, errorJSON{Error: "reload failed: " + err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	out := map[string]any{
 		"tenant":     name,
 		"generation": gen,
+		"pool":       pool,
 		"elapsed_ms": float64(time.Since(start).Microseconds()) / 1000,
-	})
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *fleetServer) handleTenantHealthz(w http.ResponseWriter, r *http.Request) {
-	th, err := s.reg.TenantHealth(r.PathValue("name"))
+func (s *fleetServer) handleTenantHealthz(w http.ResponseWriter, r *http.Request, name string) {
+	th, err := s.reg.TenantHealth(name)
 	if err != nil {
 		writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error()})
 		return
 	}
 	status := http.StatusOK
-	if th.Status != "ok" && th.Status != "degraded" {
+	if !th.Serving() {
 		// Cold, activating, evicting or unavailable: not serving now.
 		status = http.StatusServiceUnavailable
 	}
@@ -269,103 +297,36 @@ func (s *fleetServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, h)
 }
 
+// readyJSON is the body of both readiness probes.
+type readyJSON struct {
+	Ready      bool              `json:"ready"`
+	Reason     string            `json:"reason,omitempty"`
+	Generation uint64            `json:"generation,omitempty"`
+	Breaker    *breaker.Snapshot `json:"breaker,omitempty"`
+}
+
+// handleTenantReadyz is one tenant's readiness probe: 200 exactly while
+// it serves a published snapshot (a tripped breaker still serves),
+// 503 otherwise. Unlike a request it never activates a cold tenant.
+func (s *fleetServer) handleTenantReadyz(w http.ResponseWriter, r *http.Request, name string) {
+	th, err := s.reg.TenantHealth(name)
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error()})
+		return
+	}
+	if !th.Serving() {
+		writeJSON(w, http.StatusServiceUnavailable, readyJSON{Reason: "tenant " + th.Status, Breaker: th.Breaker})
+		return
+	}
+	writeJSON(w, http.StatusOK, readyJSON{Ready: true, Generation: th.Generation, Breaker: th.Breaker})
+}
+
 // handleReadyz gates fleet readiness on the first published snapshot:
 // 503 until at least one tenant serves.
 func (s *fleetServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.reg.AnyReady() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"ready":  false,
-			"reason": "no tenant has a published snapshot",
-		})
+		writeJSON(w, http.StatusServiceUnavailable, readyJSON{Reason: "no tenant has a published snapshot"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
-}
-
-// fleetServeParams carries runServe's parsed flags into fleet mode.
-type fleetServeParams struct {
-	Addr    string
-	SpecDir string
-	Opts    gar.Options
-	Cfg     serveConfig
-	Fleet   fleet.Config
-}
-
-// runServeFleet is the fleet-mode tail of `gar serve`.
-func runServeFleet(p fleetServeParams) {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "gar serve: "+format+"\n", args...)
-	}
-	names, err := tenantNames(p.SpecDir)
-	if err != nil {
-		fatal(err)
-	}
-	if len(names) == 0 {
-		fatal(fmt.Errorf("gar serve: no tenant specs (*.json) in %s", p.SpecDir))
-	}
-	p.Fleet.Logf = logf
-	reg := fleet.New(&specDirSource{dir: p.SpecDir, opts: p.Opts}, p.Fleet)
-	for _, name := range names {
-		if err := reg.Register(name); err != nil {
-			fatal(err)
-		}
-	}
-
-	srv := &http.Server{
-		Addr:              p.Addr,
-		Handler:           newFleetHandler(reg, p.Cfg),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	ln, err := net.Listen("tcp", p.Addr)
-	if err != nil {
-		fatal(err)
-	}
-	logf("fleet of %d tenants ready on %s", len(names), ln.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	// Idle reaper: periodically evict tenants idle past -tenantidle,
-	// each flushed before its snapshot is dropped.
-	if p.Fleet.IdleAfter > 0 {
-		go func() {
-			period := p.Fleet.IdleAfter / 4
-			if period < time.Second {
-				period = time.Second
-			}
-			tick := time.NewTicker(period)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					if n := reg.EvictIdle(ctx); n > 0 {
-						logf("idle reaper evicted %d tenant(s)", n)
-					}
-				}
-			}
-		}()
-	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		fatal(err)
-	case <-ctx.Done():
-	}
-	logf("draining connections")
-	// One window bounds the whole sequence: drain every tenant's
-	// in-flight requests, then flush every tenant's final checkpoint.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		fatal(err)
-	}
-	if err := reg.Shutdown(shutdownCtx); err != nil {
-		logf("fleet shutdown: %v", err)
-	} else {
-		logf("fleet flushed and stopped")
-	}
+	writeJSON(w, http.StatusOK, readyJSON{Ready: true})
 }

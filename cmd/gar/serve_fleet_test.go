@@ -53,7 +53,7 @@ func newTestFleet(t *testing.T, src fleet.Source, fcfg fleet.Config, cfg serveCo
 		defer cancel()
 		_ = reg.Shutdown(ctx)
 	})
-	return reg, newFleetHandler(reg, cfg)
+	return reg, newFleetHandler(reg, cfg, "")
 }
 
 func postFleetTranslate(h http.Handler, tenant, question string) *httptest.ResponseRecorder {

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/gar"
+	"repro/internal/fleet"
 )
 
 const serveMemArgsEnv = "GAR_SERVE_MEM_ARGS"
@@ -25,10 +25,11 @@ func TestServeMemlimitHelper(t *testing.T) {
 	runServe(strings.Fields(raw))
 }
 
-// TestServeMemlimitFloor pins the up-front rejection of budgets too
-// small to serve: a -memlimit below 1 MiB, and a fleet whose per-tenant
+// TestServeMemlimitFloor pins the up-front rejection of flags that
+// cannot serve: a -memlimit below 1 MiB, and a fleet whose per-tenant
 // share falls below that floor, must both refuse to start with an
-// error that names the flag and the floor.
+// error that names the flag and the floor; -loadmodels with -specdir
+// (one model file for many schemas) must refuse too.
 func TestServeMemlimitFloor(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -44,6 +45,8 @@ func TestServeMemlimitFloor(t *testing.T) {
 		{"negative", "-demo -addr 127.0.0.1:0 -memlimit -1", "below"},
 		{"fleet share", "-specdir " + dir + " -addr 127.0.0.1:0 -memlimit 2097152 -maxtenants 8",
 			"per-tenant memory share"},
+		{"loadmodels with specdir", "-specdir " + dir + " -addr 127.0.0.1:0 -loadmodels models.gob",
+			"-loadmodels does not apply to -specdir"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,15 +67,7 @@ func TestServeMemlimitFloor(t *testing.T) {
 // /healthz: with a budget configured, operators must see live usage,
 // the snapshot's footprint, and a clean degradation record.
 func TestServeHealthzReportsMemory(t *testing.T) {
-	sys, _, err := buildSystem(demoSpec(), gar.Options{
-		GeneralizeSize: 200, RetrievalK: 10, Seed: 1,
-		EncoderEpochs: 12, RerankEpochs: 30,
-		MemBudget: 64 << 20, SpillDir: t.TempDir(),
-	}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newServeHandler(sys, serveConfig{})
+	_, h := newTestServer(t, demoSource(), fleet.Config{MemLimit: 64 << 20}, serveConfig{})
 
 	if rec := postTranslate(h, `{"question": "how many employees are there"}`); rec.Code != http.StatusOK {
 		t.Fatalf("translate status %d: %s", rec.Code, rec.Body)

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 
 	"repro/gar"
 	"repro/internal/checkpoint"
+	"repro/internal/fleet"
 )
 
 var serveStateOpts = gar.Options{
@@ -27,12 +29,14 @@ var serveStateOpts = gar.Options{
 }
 
 // TestServeWarmStartHandler is the in-process restart: a trained
-// server's checkpoint is recovered into a system that never ran
+// server's checkpoint, written at the root of a state directory in the
+// single-database layout, is recovered by a server that never runs
 // Prepare or Train, and the warm handler answers /translate with the
 // same SQL at the same generation while /healthz reports the
 // checkpoint counters.
 func TestServeWarmStartHandler(t *testing.T) {
-	st, err := checkpoint.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := checkpoint.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +48,27 @@ func TestServeWarmStartHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldHandler := newServeHandler(cold, serveConfig{})
+	_, coldHandler := newTestServer(t, &sysSource{sys: cold}, fleet.Config{}, serveConfig{})
 
-	warm, _, err := newSystem(demoSpec(), serveStateOpts)
-	if err != nil {
-		t.Fatal(err)
+	var mu sync.Mutex
+	var skipped []string
+	logf := func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "skipping checkpoint") {
+			mu.Lock()
+			skipped = append(skipped, line)
+			mu.Unlock()
+		}
 	}
-	ck, skipped, err := warm.RecoverCheckpoint(st)
-	if err != nil || ck == nil || len(skipped) != 0 {
-		t.Fatalf("recover: ck=%v skipped=%v err=%v", ck, skipped, err)
+	src := &specDirSource{demo: true, stateDir: dir, opts: serveStateOpts}
+	reg, warmHandler := newTestServer(t, src, fleet.Config{Keep: 2, Logf: logf}, serveConfig{})
+	if row, err := reg.TenantHealth(testTenant); err != nil || row.Counters.WarmStarts != 1 || row.Counters.ColdBuilds != 0 {
+		t.Fatalf("server did not warm-start from the checkpoint: %+v (%v)", row.Counters, err)
 	}
-	ckptr := warm.NewCheckpointer(st, gar.CheckpointerConfig{Keep: 2})
-	warmHandler := newServeHandler(warm, serveConfig{Ckpt: ckptr})
+	mu.Lock()
+	if len(skipped) != 0 {
+		t.Fatalf("recovery skipped a checkpoint of a store holding one valid one: %v", skipped)
+	}
+	mu.Unlock()
 
 	for _, q := range []string{"who is the oldest employee", "how many employees are there"} {
 		body := fmt.Sprintf(`{"question": %q}`, q)
@@ -94,6 +107,24 @@ func TestServeWarmStartHandler(t *testing.T) {
 	}
 }
 
+// writeBareSpec writes the demo spec without its sample queries — a
+// schema-only spec with nothing to cold-build from — and returns its
+// path.
+func writeBareSpec(t *testing.T) string {
+	t.Helper()
+	bare := demoSpec()
+	bare.Samples = nil
+	data, err := json.Marshal(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bare.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestServeAllCorruptCleanEmptyState: when every checkpoint is damaged
 // and the spec has no samples to cold-build from, the server comes up
 // on a clean empty state — /translate and /readyz answer 503, nothing
@@ -104,27 +135,31 @@ func TestServeAllCorruptCleanEmptyState(t *testing.T) {
 	if err := os.WriteFile(name, []byte("GARCKPT1 but then trash"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	sys, _, err := newSystem(demoSpec(), serveStateOpts)
+	var mu sync.Mutex
+	var skipped []string
+	logf := func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "skipping checkpoint") {
+			mu.Lock()
+			skipped = append(skipped, line)
+			mu.Unlock()
+		}
+	}
+	src := &specDirSource{specPath: writeBareSpec(t), stateDir: dir, opts: serveStateOpts}
+	reg, h := newTestServer(t, src, fleet.Config{Logf: logf}, serveConfig{})
+	row, err := reg.TenantHealth(testTenant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, skipped, err := sys.RecoverCheckpoint(st)
-	if err != nil {
-		t.Fatal(err)
+	if row.Ready || row.Counters.WarmStarts != 0 || row.Counters.ColdBuilds != 0 {
+		t.Fatalf("all-corrupt store: %+v", row)
 	}
-	if ck != nil || len(skipped) != 1 {
-		t.Fatalf("all-corrupt store: ck=%v skipped=%v", ck, skipped)
+	mu.Lock()
+	if len(skipped) != 1 || !strings.Contains(skipped[0], name) {
+		t.Fatalf("corrupt checkpoint not reported: %q", skipped)
 	}
-	if sys.Ready() {
-		t.Fatal("corrupt checkpoint marked the system ready")
-	}
+	mu.Unlock()
 
-	h := newServeHandler(sys, serveConfig{Ckpt: sys.NewCheckpointer(st, gar.CheckpointerConfig{})})
 	rec := postTranslate(h, `{"question": "how many employees are there"}`)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("translate on empty state: %d, want 503", rec.Code)
@@ -147,7 +182,8 @@ func TestServeStateServerHelper(t *testing.T) {
 	if dir == "" {
 		t.Skip("helper process body; run via TestServeRestartSIGTERM")
 	}
-	runServe([]string{"-demo", "-addr", "127.0.0.1:0", "-statedir", dir, "-pool", "200"})
+	runServe([]string{"-demo", "-addr", "127.0.0.1:0", "-statedir", dir, "-pool", "200",
+		"-feedback", "-traininterval", "1h"})
 }
 
 // serveChild starts a server subprocess — the named helper test with
@@ -232,9 +268,12 @@ func translateOver(t *testing.T, addr, question string) translateResponse {
 }
 
 // TestServeRestartSIGTERM is the end-to-end durability contract: serve,
-// translate, SIGTERM, restart on the same -statedir — the second
-// process warm-starts from the flushed checkpoint (no Prepare, no
-// Train) and answers the same question identically.
+// translate, record feedback, SIGTERM, restart on the same -statedir —
+// the second process warm-starts from the flushed checkpoint (no
+// Prepare, no Train), answers the same question identically and
+// replays the feedback WAL. The state directory keeps the
+// single-database layout: checkpoints at its root, the WAL under
+// feedback/.
 func TestServeRestartSIGTERM(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signal semantics required")
@@ -251,19 +290,29 @@ func TestServeRestartSIGTERM(t *testing.T) {
 
 	cmd, addr, logs := serveChild(t, exe, "TestServeStateServerHelper", serveStateEnv+"="+dir)
 	first := translateOver(t, addr, question)
+	resp, err := http.Post("http://"+addr+"/feedback", "application/json",
+		strings.NewReader(`{"question": "how many people work here", "sql": "SELECT COUNT(*) FROM employee"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("feedback status %d", resp.StatusCode)
+	}
 	stopServeChild(t, cmd, logs)
 	if out := logs(); !strings.Contains(out, "final checkpoint flushed") {
 		t.Fatalf("no final flush on SIGTERM; logs:\n%s", out)
 	}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("state directory empty after shutdown (err=%v)", err)
+	for _, pattern := range []string{"gen-*.ckpt", filepath.Join("feedback", "seg-*.fwal")} {
+		if files, err := filepath.Glob(filepath.Join(dir, pattern)); err != nil || len(files) == 0 {
+			t.Fatalf("state directory has no %s after shutdown (err=%v)", pattern, err)
+		}
 	}
 
 	cmd2, addr2, logs2 := serveChild(t, exe, "TestServeStateServerHelper", serveStateEnv+"="+dir)
 	defer func() { _ = cmd2.Process.Kill() }()
-	if out := logs2(); !strings.Contains(out, "warm start from checkpoint generation") {
+	if out := logs2(); !strings.Contains(out, "warm=true") {
 		t.Fatalf("second start did not warm-start; logs:\n%s", out)
 	}
 	second := translateOver(t, addr2, question)
@@ -272,6 +321,21 @@ func TestServeRestartSIGTERM(t *testing.T) {
 	}
 	if second.Generation != first.Generation {
 		t.Fatalf("restart changed the generation: %d -> %d", first.Generation, second.Generation)
+	}
+	var health struct {
+		Feedback *fleet.FeedbackHealth `json:"feedback"`
+	}
+	hresp, err := http.Get("http://" + addr2 + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(hresp.Body).Decode(&health)
+	hresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if health.Feedback == nil || health.Feedback.WAL.LastSeq != 1 {
+		t.Fatalf("restart did not replay the feedback WAL: %+v", health.Feedback)
 	}
 	stopServeChild(t, cmd2, logs2)
 }
@@ -359,30 +423,40 @@ func TestRunCheckpointCLI(t *testing.T) {
 	}
 }
 
-// TestBuildServingSystemPaths drives the startup decision tree
-// directly: warm start from a valid checkpoint, fallback past a
-// corrupt one, cold build when nothing is recoverable, clean empty
+// TestBuildServingSystemPaths drives the startup decision tree of the
+// one-tenant server: warm start from a valid checkpoint, fallback past
+// a corrupt one, cold build when nothing is recoverable, clean empty
 // state for a schema-only spec, and abandoned-temp cleanup.
 func TestBuildServingSystemPaths(t *testing.T) {
-	logf := func(format string, args ...any) { t.Logf("serve: "+format, args...) }
-
-	// No statedir: plain cold build, no store.
-	sys, st, warm, err := buildServingSystem("", demoSpec(), serveStateOpts, "", logf)
-	if err != nil {
-		t.Fatal(err)
+	serve := func(src *specDirSource) (*fleet.Registry, fleet.TenantHealth) {
+		t.Helper()
+		reg, _ := newTestServer(t, src, fleet.Config{}, serveConfig{})
+		row, err := reg.TenantHealth(testTenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg, row
 	}
-	if st != nil || warm || !sys.Ready() {
-		t.Fatalf("cold path: store=%v warm=%v ready=%v", st, warm, sys.Ready())
+
+	// No statedir: plain cold build, no checkpointer.
+	reg, row := serve(&specDirSource{demo: true, opts: serveStateOpts})
+	if row.Checkpoint != nil || row.Counters.ColdBuilds != 1 || !row.Ready {
+		t.Fatalf("cold path: %+v", row)
 	}
 
 	// Seed a state directory from that system, plus a corrupt newer
 	// generation and an abandoned temp file.
+	h, err := reg.Acquire(context.Background(), testTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	seed, err := checkpoint.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := sys.WriteCheckpoint(seed)
+	gen, err := h.Sys().WriteCheckpoint(seed)
+	h.Release()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,12 +471,9 @@ func TestBuildServingSystemPaths(t *testing.T) {
 
 	// Statedir with a recoverable generation: warm start past the
 	// corrupt file, temp swept.
-	sys2, st2, warm2, err := buildServingSystem(dir, demoSpec(), serveStateOpts, "", logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2 == nil || !warm2 || !sys2.Ready() || sys2.Generation() != gen {
-		t.Fatalf("warm path: store=%v warm=%v ready=%v gen=%d", st2, warm2, sys2.Ready(), sys2.Generation())
+	_, row = serve(&specDirSource{demo: true, stateDir: dir, opts: serveStateOpts})
+	if row.Checkpoint == nil || row.Counters.WarmStarts != 1 || !row.Ready || row.Generation != gen {
+		t.Fatalf("warm path: %+v", row)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("abandoned temp not swept: %v", err)
@@ -410,23 +481,15 @@ func TestBuildServingSystemPaths(t *testing.T) {
 
 	// Statedir with nothing recoverable but samples in the spec: cold
 	// build behind the store.
-	sys3, st3, warm3, err := buildServingSystem(t.TempDir(), demoSpec(), serveStateOpts, "", logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3 == nil || warm3 || !sys3.Ready() {
-		t.Fatalf("cold-behind-store path: store=%v warm=%v ready=%v", st3, warm3, sys3.Ready())
+	_, row = serve(&specDirSource{demo: true, stateDir: t.TempDir(), opts: serveStateOpts})
+	if row.Checkpoint == nil || row.Counters.ColdBuilds != 1 || !row.Ready {
+		t.Fatalf("cold-behind-store path: %+v", row)
 	}
 
 	// Schema-only spec and an empty statedir: clean empty state.
-	bare := demoSpec()
-	bare.Samples = nil
-	sys4, st4, warm4, err := buildServingSystem(t.TempDir(), bare, serveStateOpts, "", logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st4 == nil || warm4 || sys4.Ready() {
-		t.Fatalf("empty-state path: store=%v warm=%v ready=%v", st4, warm4, sys4.Ready())
+	_, row = serve(&specDirSource{specPath: writeBareSpec(t), stateDir: t.TempDir(), opts: serveStateOpts})
+	if row.Checkpoint == nil || row.Counters.WarmStarts != 0 || row.Counters.ColdBuilds != 0 || row.Ready {
+		t.Fatalf("empty-state path: %+v", row)
 	}
 }
 

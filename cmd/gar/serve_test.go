@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,19 +12,67 @@ import (
 	"time"
 
 	"repro/gar"
+	"repro/internal/fleet"
 )
 
-func testHandler(t *testing.T, cfg serveConfig) http.Handler {
+// testTenant is the lone tenant of the one-tenant test servers, named
+// as `gar serve -demo` names it.
+var testTenant = specTenant(demoSpec())
+
+// newTestServer assembles a one-tenant server the way `gar serve -spec`
+// does: a registry of one never-evicted tenant, activated before the
+// first request, behind the handler with root-path aliases.
+func newTestServer(t *testing.T, src fleet.Source, fcfg fleet.Config, cfg serveConfig) (*fleet.Registry, http.Handler) {
 	t.Helper()
-	sys, _, err := buildSystem(demoSpec(), gar.Options{
-		GeneralizeSize: 200, RetrievalK: 10, Seed: 1,
-		EncoderEpochs: 12, RerankEpochs: 30,
-	}, "")
+	fcfg.MaxActive, fcfg.IdleAfter = 1, 0
+	reg, err := openFleet(src, fcfg, []string{testTenant}, testTenant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServeHandler(sys, cfg)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := reg.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	return reg, newFleetHandler(reg, cfg, testTenant)
 }
+
+// demoSource serves the built-in demo spec as `gar serve -demo` does.
+func demoSource() *specDirSource {
+	return &specDirSource{demo: true, opts: testServeOpts()}
+}
+
+// testHandler is a one-tenant demo server with default fleet limits.
+func testHandler(t *testing.T, cfg serveConfig) http.Handler {
+	t.Helper()
+	_, h := newTestServer(t, demoSource(), fleet.Config{}, cfg)
+	return h
+}
+
+// sysSource is a one-tenant fleet.Source over a prebuilt system, so a
+// test can serve exactly the system it built — fault injector already
+// installed, say. Reload runs the test's hook.
+type sysSource struct {
+	sys    *gar.System
+	reload func(ctx context.Context, sys *gar.System) error
+}
+
+func (s *sysSource) Cold(string) (*gar.System, error) { return s.sys, nil }
+
+func (s *sysSource) Deploy(_ context.Context, _ string, sys *gar.System) (bool, error) {
+	return sys.Ready(), nil
+}
+
+func (s *sysSource) Reload(ctx context.Context, _ string, sys *gar.System) error {
+	if s.reload == nil {
+		return errors.New("no reload hook")
+	}
+	return s.reload(ctx, sys)
+}
+
+func (s *sysSource) StateDir(string) string { return "" }
 
 func postTranslate(h http.Handler, body string) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, "/translate", strings.NewReader(body))

@@ -269,6 +269,10 @@ type ExecGuideStats = core.ExecGuideStats
 // counters.
 func (s *System) ExecGuideStats() ExecGuideStats { return s.inner.ExecGuideStats() }
 
+// ExecGuide reports whether the system runs execution-guided reranking
+// (Options.ExecGuide); health endpoints show its counters only then.
+func (s *System) ExecGuide() bool { return s.inner.Opts.ExecGuide }
+
 // MemBudget is a hierarchical byte budget (see internal/memgov):
 // reservations charge every level of a process → tenant → operation
 // chain, and any level's denial makes the caller spill, truncate or

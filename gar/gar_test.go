@@ -84,6 +84,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(res.Candidates) == 0 || res.Candidates[0].SQL != res.SQL {
 		t.Error("candidates inconsistent with top result")
 	}
+	if sys.ExecGuide() {
+		t.Error("ExecGuide reports on for a system built without Options.ExecGuide")
+	}
 }
 
 func TestPublicAPIValidation(t *testing.T) {

@@ -37,9 +37,9 @@ func TestFleetFeedbackLifecycle(t *testing.T) {
 		return now
 	}
 	stateDir := t.TempDir()
+	src.stateDir = stateDir
 	reg := fleet.New(src, fleet.Config{
-		MaxActive: 2, IdleAfter: time.Minute, StateDir: stateDir,
-		Feedback: true, Clock: clock,
+		MaxActive: 2, IdleAfter: time.Minute, Feedback: true, Clock: clock,
 	})
 	if err := reg.Register("alpha"); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestFleetFeedbackLifecycle(t *testing.T) {
 }
 
 // TestFleetFeedbackInert pins the opt-in contract: Config.Feedback
-// without a FeedbackSource (or without a StateDir) attaches nothing,
+// without a FeedbackSource (or without a state directory) attaches nothing,
 // and serving works exactly as before.
 func TestFleetFeedbackInert(t *testing.T) {
 	ctx := context.Background()
@@ -161,9 +161,9 @@ func TestFleetFeedbackInert(t *testing.T) {
 		}
 	}
 	t.Run("no-feedback-source", func(t *testing.T) {
-		check(t, fleet.New(newTestSource(t), fleet.Config{
-			MaxActive: 2, StateDir: t.TempDir(), Feedback: true,
-		}))
+		src := newTestSource(t)
+		src.stateDir = t.TempDir()
+		check(t, fleet.New(src, fleet.Config{MaxActive: 2, Feedback: true}))
 	})
 	t.Run("no-statedir", func(t *testing.T) {
 		check(t, fleet.New(&feedbackSource{newTestSource(t)}, fleet.Config{

@@ -1,10 +1,12 @@
-// Package fleet serves many databases from one process. A Registry
-// maps tenant (database) name → an isolated serving System, keeping a
+// Package fleet serves databases from one process. A Registry maps
+// tenant (database) name → an isolated serving System, keeping a
 // bounded working set resident: cold tenants are activated on first
-// use — warm-started from their per-tenant checkpoint directory when
-// one exists, cold-built through the caller's Source otherwise — and
+// use — warm-started from the state directory their Source names when
+// it holds a checkpoint, cold-built through the Source otherwise — and
 // the least-recently-used idle tenant is evicted when the set is full,
-// but only after its state has been flushed to a checkpoint.
+// but only after its state has been flushed to a checkpoint. A
+// single-database server is a registry of one tenant that is never
+// evicted.
 //
 // Isolation is the point. Every tenant owns its admission controller
 // and circuit breaker, sized from fleet-wide limits, so one saturated
@@ -23,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -79,6 +82,12 @@ type Source interface {
 	// Reload rebuilds the tenant's state and swaps it into the live
 	// system with zero downtime.
 	Reload(ctx context.Context, name string, sys *gar.System) error
+	// StateDir names the directory of the tenant's durable state:
+	// checkpoints at its root, the feedback WAL under feedback/ and
+	// memory-governed spill runs under spill/. Empty disables
+	// durability — evicting the tenant then drops state that a
+	// re-activation must rebuild.
+	StateDir(name string) string
 }
 
 // FeedbackSource is the optional Source extension the online feedback
@@ -125,11 +134,6 @@ type Config struct {
 	// the process root.
 	TenantMemLimit int64
 
-	// StateDir is the root of the multi-tenant checkpoint tree
-	// ({StateDir}/{tenant}/...); empty disables durability — evicting a
-	// tenant then drops state that a re-activation must rebuild.
-	// Memory-governed pool builds spill under {StateDir}/{tenant}/spill.
-	StateDir string
 	// Keep is the per-tenant checkpoint retention (default 3).
 	Keep int
 
@@ -140,9 +144,10 @@ type Config struct {
 	EvictFlushTimeout time.Duration
 
 	// Feedback enables the per-tenant online learning loop: a durable
-	// feedback WAL at {StateDir}/{tenant}/feedback plus a background
-	// trainer per resident tenant. Requires StateDir and a Source that
-	// implements FeedbackSource; otherwise it is silently inert.
+	// feedback WAL under the tenant's state directory plus a background
+	// trainer per resident tenant. Requires a Source that implements
+	// FeedbackSource and names a state directory; otherwise it is
+	// silently inert.
 	Feedback bool
 	// TrainInterval and ShadowThreshold forward to every tenant's
 	// trainer (see gar.TrainerConfig).
@@ -288,6 +293,13 @@ type Registry struct {
 	mu      sync.Mutex // guards tenants map and closed
 	tenants map[string]*tenant
 	closed  bool
+
+	// spillTmp is the process-private directory memory-governed tenants
+	// without durable state spill under: created by the first build
+	// that needs it (spillOnce), removed at Shutdown.
+	spillOnce sync.Once
+	spillTmp  string
+	spillErr  error
 
 	capMu  sync.Mutex // serializes working-set accounting
 	active int        // tenants in activating|active|evicting
@@ -445,8 +457,8 @@ func (h *Handle) Release() {
 }
 
 // Acquire returns a handle on the named tenant's serving system,
-// activating the tenant first if it is cold: warm-started from its
-// newest valid checkpoint when StateDir holds one, cold-built through
+// activating the tenant first if it is cold: warm-started from the
+// newest valid checkpoint in its state directory, cold-built through
 // the Source otherwise. Activation is single-flight — concurrent
 // acquirers of a cold tenant wait on the same build. A full working
 // set evicts its least-recently-used idle tenant to make room, or
@@ -462,9 +474,6 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		t.mu.Lock()
 		switch t.state {
 		case stateActive:
@@ -494,6 +503,12 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Handle, error) {
 			}
 		case stateCold:
 			t.mu.Unlock()
+			// A resident tenant is handed out even past the deadline (the
+			// caller's own stages then fail with it, as a server's would);
+			// an activation is only started for a live request.
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			if err := r.beginActivation(t); err != nil {
 				return nil, err
 			}
@@ -660,25 +675,26 @@ func (r *Registry) buildTenant(ctx context.Context, t *tenant) (builtTenant, err
 	if err != nil {
 		return builtTenant{}, err
 	}
+	stateDir := r.src.StateDir(t.name)
 	if t.budget != nil {
 		// Pool builds charge this tenant's share of the fleet budget and
-		// spill under the tenant's own state directory. Orphaned spill
-		// files from a crashed previous run are scratch: sweep them now.
-		spillDir := ""
-		if r.cfg.StateDir != "" {
-			spillDir = filepath.Join(r.cfg.StateDir, t.name, "spill")
-			if removed, serr := spill.Sweep(spillDir); serr != nil {
-				r.cfg.Logf("fleet: tenant %s: sweeping spill dir: %v", t.name, serr)
-			} else if len(removed) > 0 {
-				r.cfg.Logf("fleet: tenant %s: removed %d orphaned spill file(s)", t.name, len(removed))
-			}
+		// spill to disk instead of truncating. Orphaned spill files from
+		// a crashed previous run are scratch: sweep them now.
+		spillDir, serr := r.spillDir(t.name, stateDir)
+		if serr != nil {
+			return builtTenant{}, serr
+		}
+		if removed, serr := spill.Sweep(spillDir); serr != nil {
+			r.cfg.Logf("fleet: tenant %s: sweeping spill dir: %v", t.name, serr)
+		} else if len(removed) > 0 {
+			r.cfg.Logf("fleet: tenant %s: removed %d orphaned spill file(s)", t.name, len(removed))
 		}
 		sys.SetResources(t.budget, spillDir)
 	}
 	b := builtTenant{sys: sys}
 	var store *checkpoint.Store
-	if r.cfg.StateDir != "" {
-		store, err = checkpoint.OpenTenant(r.cfg.StateDir, t.name)
+	if stateDir != "" {
+		store, err = checkpoint.Open(stateDir)
 		if err != nil {
 			return builtTenant{}, err
 		}
@@ -745,6 +761,23 @@ func (r *Registry) buildTenant(ctx context.Context, t *tenant) (builtTenant, err
 		}
 	}
 	return b, nil
+}
+
+// spillDir is where a memory-governed tenant's pool builds overflow:
+// spill/ beside its durable state, or a per-tenant subdirectory of the
+// registry's process-private temp directory when it has none.
+func (r *Registry) spillDir(name, stateDir string) (string, error) {
+	if stateDir != "" {
+		return filepath.Join(stateDir, "spill"), nil
+	}
+	r.spillOnce.Do(func() { r.spillTmp, r.spillErr = os.MkdirTemp("", "gar-spill-") })
+	switch {
+	case r.spillErr != nil:
+		return "", fmt.Errorf("fleet: creating spill directory: %w", r.spillErr)
+	case r.spillTmp == "": // Shutdown closed the Once first
+		return "", ErrClosed
+	}
+	return filepath.Join(r.spillTmp, name), nil
 }
 
 // finishEvict makes an evicting tenant's state durable and drops its
@@ -846,26 +879,26 @@ func (r *Registry) EvictIdle(ctx context.Context) int {
 
 // Reload rebuilds the named tenant's state through the source and swaps
 // it into the live system with zero downtime, returning the new
-// generation. Reloads are serialized per tenant — a concurrent reload
+// generation and its pool size. Reloads are serialized per tenant — a concurrent reload
 // of the same tenant fails with ErrReloadInProgress, while different
 // tenants reload in parallel.
-func (r *Registry) Reload(ctx context.Context, name string) (uint64, error) {
+func (r *Registry) Reload(ctx context.Context, name string) (gen uint64, pool int, err error) {
 	h, err := r.Acquire(ctx, name)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer h.Release()
 	if !h.t.reloadMu.TryLock() {
-		return 0, fmt.Errorf("%w: tenant %s", ErrReloadInProgress, name)
+		return 0, 0, fmt.Errorf("%w: tenant %s", ErrReloadInProgress, name)
 	}
 	defer h.t.reloadMu.Unlock()
 	if err := r.src.Reload(ctx, name, h.Sys()); err != nil {
-		return 0, fmt.Errorf("fleet: reloading tenant %s: %w", name, err)
+		return 0, 0, fmt.Errorf("fleet: reloading tenant %s: %w", name, err)
 	}
 	h.t.mu.Lock()
 	h.t.counters.Reloads++
 	h.t.mu.Unlock()
-	return h.Sys().Generation(), nil
+	return h.Sys().Generation(), h.Sys().PoolSize(), nil
 }
 
 // AnyReady reports whether at least one tenant currently serves a
@@ -908,12 +941,26 @@ func (r *Registry) Shutdown(ctx context.Context) error {
 	}
 	wg.Wait()
 	close(errs)
+	var firstErr error
 	for err := range errs {
-		if err != nil {
-			return err
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	return nil
+	// Spill runs are per-build scratch, so the temp directory goes —
+	// but only once every tenant shut down cleanly: a tenant that gave
+	// up on ctx may still have a detached build writing spill runs,
+	// which would recreate the directory under a RemoveAll. The empty
+	// Do makes the directory's creation (if any) visible here.
+	r.spillOnce.Do(func() {})
+	if r.spillTmp != "" {
+		if firstErr != nil {
+			r.cfg.Logf("fleet: leaving spill directory %s: shutdown incomplete", r.spillTmp)
+		} else if err := os.RemoveAll(r.spillTmp); err != nil {
+			r.cfg.Logf("fleet: removing spill directory: %v", err)
+		}
+	}
+	return firstErr
 }
 
 // shutdownTenant settles any in-progress transition, drains the

@@ -82,6 +82,9 @@ func trainedModels(t *testing.T) *gar.Models {
 type testSource struct {
 	opts   gar.Options
 	models *gar.Models
+	// stateDir, when set, roots the tenants' durable state at
+	// {stateDir}/{tenant}.
+	stateDir string
 
 	mu            sync.Mutex
 	deploys       map[string]int
@@ -154,6 +157,13 @@ func (s *testSource) Reload(ctx context.Context, name string, sys *gar.System) e
 	return nil
 }
 
+func (s *testSource) StateDir(name string) string {
+	if s.stateDir == "" {
+		return ""
+	}
+	return filepath.Join(s.stateDir, name)
+}
+
 func (s *testSource) deployCount(name string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,6 +200,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestFleetActivateTranslateHealth(t *testing.T) {
 	src := newTestSource(t)
+	src.opts.ExecGuide = true
 	reg := fleet.New(src, fleet.Config{MaxActive: 4})
 	for _, name := range []string{"alpha", "beta", "gamma"} {
 		if err := reg.Register(name); err != nil {
@@ -234,7 +245,16 @@ func TestFleetActivateTranslateHealth(t *testing.T) {
 	if row.Admission.Admitted != 1 || row.Breaker == nil {
 		t.Fatalf("alpha admission/breaker = %+v", row)
 	}
-	if cold := h.Tenants["beta"]; cold.Status != "cold" || cold.Ready {
+	if c := row.Caches; c == nil || c.Translations.Misses != 1 || c.Translations.Hits != 0 || c.Embeddings.Misses != 1 {
+		t.Fatalf("alpha caches = %+v", row.Caches)
+	}
+	if eg := row.ExecGuide; eg == nil || eg.Executed == 0 {
+		t.Fatalf("alpha execguide = %+v", row.ExecGuide)
+	}
+	if row.Memory != nil {
+		t.Fatalf("ungoverned alpha reports memory: %+v", row.Memory)
+	}
+	if cold := h.Tenants["beta"]; cold.Status != "cold" || cold.Ready || cold.Caches != nil || cold.ExecGuide != nil {
 		t.Fatalf("beta health = %+v", cold)
 	}
 	if _, err := reg.TenantHealth("nosuch"); !errors.Is(err, fleet.ErrUnknownTenant) {
@@ -282,7 +302,8 @@ func TestFleetSingleFlightActivation(t *testing.T) {
 func TestFleetLRUEvictionPreservesState(t *testing.T) {
 	src := newTestSource(t)
 	stateDir := t.TempDir()
-	reg := fleet.New(src, fleet.Config{MaxActive: 2, StateDir: stateDir})
+	src.stateDir = stateDir
+	reg := fleet.New(src, fleet.Config{MaxActive: 2})
 	for _, name := range []string{"alpha", "beta", "gamma"} {
 		if err := reg.Register(name); err != nil {
 			t.Fatal(err)
@@ -377,8 +398,9 @@ func TestFleetIdleEviction(t *testing.T) {
 		return now
 	}
 	stateDir := t.TempDir()
+	src.stateDir = stateDir
 	reg := fleet.New(src, fleet.Config{
-		MaxActive: 4, IdleAfter: time.Minute, StateDir: stateDir, Clock: clock,
+		MaxActive: 4, IdleAfter: time.Minute, Clock: clock,
 	})
 	if err := reg.Register("alpha"); err != nil {
 		t.Fatal(err)
@@ -465,16 +487,16 @@ func TestFleetReloadScopedPerTenant(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := reg.Reload(ctx, "alpha")
+		_, _, err := reg.Reload(ctx, "alpha")
 		done <- err
 	}()
 	<-src.reloadEntered // the first reload holds alpha's lock at the gate
-	if _, err := reg.Reload(ctx, "alpha"); !errors.Is(err, fleet.ErrReloadInProgress) {
+	if _, _, err := reg.Reload(ctx, "alpha"); !errors.Is(err, fleet.ErrReloadInProgress) {
 		t.Fatalf("concurrent reload of the same tenant = %v", err)
 	}
 	// A different tenant reloads in parallel, unaffected by alpha's
 	// in-progress reload.
-	if gen, err := reg.Reload(ctx, "beta"); err != nil || gen < 2 {
+	if gen, _, err := reg.Reload(ctx, "beta"); err != nil || gen < 2 {
 		t.Fatalf("beta reload = gen %d, %v", gen, err)
 	}
 	close(gate)
@@ -483,13 +505,16 @@ func TestFleetReloadScopedPerTenant(t *testing.T) {
 	}
 	if row := reg.Health().Tenants["alpha"]; row.Counters.Reloads != 1 || row.Generation < 2 {
 		t.Fatalf("alpha after reload = %+v", row)
+	} else if row.ExecGuide != nil {
+		t.Fatalf("tenant without exec-guide reports its counters: %+v", row.ExecGuide)
 	}
 }
 
 func TestFleetShutdownDrainsAndFlushes(t *testing.T) {
 	src := newTestSource(t)
 	stateDir := t.TempDir()
-	reg := fleet.New(src, fleet.Config{MaxActive: 4, StateDir: stateDir})
+	src.stateDir = stateDir
+	reg := fleet.New(src, fleet.Config{MaxActive: 4})
 	for _, name := range []string{"alpha", "beta"} {
 		if err := reg.Register(name); err != nil {
 			t.Fatal(err)

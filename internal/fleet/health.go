@@ -10,7 +10,7 @@ import (
 // FeedbackHealth is the online-learning block of a health row: the
 // accept/reject tallies of the feedback endpoint, the WAL's footprint,
 // and the trainer's counters (state, promotions, shadow verdicts,
-// rollbacks). The single-tenant server reuses it for /healthz.
+// rollbacks).
 type FeedbackHealth struct {
 	Accepted uint64           `json:"accepted"`
 	Rejected uint64           `json:"rejected"`
@@ -18,7 +18,8 @@ type FeedbackHealth struct {
 	Trainer  gar.TrainerStats `json:"trainer"`
 }
 
-// TenantHealth is one tenant's row in the fleet health roll-up.
+// TenantHealth is one tenant's row in the fleet health roll-up, and
+// the whole /healthz body of a one-tenant server.
 type TenantHealth struct {
 	// State is the lifecycle position (cold|activating|active|evicting)
 	// and Status the serving verdict: ok, degraded (breaker not closed),
@@ -37,9 +38,15 @@ type TenantHealth struct {
 	Admission  admit.Stats          `json:"admission"`
 	Breaker    *breaker.Snapshot    `json:"breaker,omitempty"`
 	Checkpoint *gar.CheckpointStats `json:"checkpoint,omitempty"`
+	// Caches are the translation-path cache counters; ExecGuide the
+	// execution-guided reranking counters, present only when the
+	// tenant's system runs that stage. Both are absent while the tenant
+	// is not resident.
+	Caches    *gar.CacheStats     `json:"caches,omitempty"`
+	ExecGuide *gar.ExecGuideStats `json:"execguide,omitempty"`
 	// Memory is the tenant's resource-governance block (budget usage,
 	// snapshot bytes, spill gauges, degradation record), absent while
-	// the tenant is not resident.
+	// the tenant is not resident or memory governance is off.
 	Memory *gar.MemStats `json:"memory,omitempty"`
 	// Feedback is the online-learning block, absent while the tenant is
 	// not resident or the feedback loop is disabled.
@@ -71,6 +78,10 @@ type Health struct {
 	Tenants map[string]TenantHealth `json:"tenants"`
 }
 
+// Serving reports whether the row's tenant answers translations now:
+// status ok, or degraded (reduced quality, still serving).
+func (h TenantHealth) Serving() bool { return h.Status == "ok" || h.Status == "degraded" }
+
 // tenantHealth assembles one tenant's row.
 func (r *Registry) tenantHealth(t *tenant) TenantHealth {
 	t.mu.Lock()
@@ -91,8 +102,15 @@ func (r *Registry) tenantHealth(t *tenant) TenantHealth {
 		h.Ready = sys.Ready()
 		h.Generation = sys.Generation()
 		h.Pool = sys.PoolSize()
-		ms := sys.MemStats()
-		h.Memory = &ms
+		cs := sys.CacheStats()
+		h.Caches = &cs
+		if sys.ExecGuide() {
+			es := sys.ExecGuideStats()
+			h.ExecGuide = &es
+		}
+		if ms := sys.MemStats(); ms.Budget != nil {
+			h.Memory = &ms
+		}
 	}
 	if ckptr != nil {
 		cs := ckptr.Stats()
@@ -158,7 +176,7 @@ func (r *Registry) Health() Health {
 	for _, t := range tenants {
 		row := r.tenantHealth(t)
 		h.Tenants[t.name] = row
-		if row.Status == "ok" || row.Status == "degraded" {
+		if row.Serving() {
 			anyReady = true
 		}
 		if row.Status == "degraded" || row.Status == "unavailable" || row.LastError != "" {

@@ -38,7 +38,7 @@ func installBlockGate(sys *gar.System) (release func()) {
 // generations.
 func TestFleetIsolationUnderFaults(t *testing.T) {
 	src := newTestSource(t)
-	stateDir := t.TempDir()
+	src.stateDir = t.TempDir()
 	healthy := make([]string, 8)
 	for i := range healthy {
 		healthy[i] = fmt.Sprintf("healthy%d", i)
@@ -50,7 +50,6 @@ func TestFleetIsolationUnderFaults(t *testing.T) {
 		BreakerFailures: 1,
 		BreakerCooldown: time.Hour, // a tripped tenant stays tripped for the whole storm
 		IdleAfter:       3 * time.Millisecond,
-		StateDir:        stateDir,
 	})
 	for _, name := range append([]string{"panicky", "blocked"}, healthy...) {
 		if err := reg.Register(name); err != nil {

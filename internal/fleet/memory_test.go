@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fleet"
@@ -15,10 +16,9 @@ import (
 // tenant does not ratchet the process footprint up.
 func TestFleetMemoryGovernance(t *testing.T) {
 	src := newTestSource(t)
-	stateDir := t.TempDir()
+	src.stateDir = t.TempDir()
 	reg := fleet.New(src, fleet.Config{
 		MaxActive:      2,
-		StateDir:       stateDir,
 		MemLimit:       64 << 20,
 		TenantMemLimit: 16 << 20,
 	})
@@ -99,9 +99,9 @@ func TestFleetMemoryGovernance(t *testing.T) {
 // degraded — while translations keep answering.
 func TestFleetTenantBudgetPressure(t *testing.T) {
 	src := newTestSource(t)
+	src.stateDir = t.TempDir()
 	reg := fleet.New(src, fleet.Config{
 		MaxActive:      2,
-		StateDir:       t.TempDir(),
 		MemLimit:       64 << 20,
 		TenantMemLimit: tenantPressureLimit,
 	})
@@ -138,3 +138,59 @@ func TestFleetTenantBudgetPressure(t *testing.T) {
 // footprint (~15KB snapshot), so activation must shed candidates to
 // fit instead of failing outright.
 const tenantPressureLimit = 10 << 10
+
+// TestFleetSpillWithoutStateDir pins the spill rule for tenants without
+// durable state: a share whose pool-build buffer overflows spills to a
+// process-private temp directory instead of truncating, so the tenant
+// serves the same pool an ungoverned build produces, undegraded — and
+// Shutdown removes the spill directory.
+func TestFleetSpillWithoutStateDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // the registry's temp spill directory lands here
+	ctx := context.Background()
+	activate := func(cfg fleet.Config) (*fleet.Registry, fleet.TenantHealth) {
+		t.Helper()
+		src := newTestSource(t)
+		src.opts.SpillBufferBytes = spillBuffer
+		reg := fleet.New(src, cfg)
+		if err := reg.Register("alpha"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := translateVia(ctx, reg, "alpha", "how many items are there"); err != nil {
+			t.Fatal(err)
+		}
+		row, err := reg.TenantHealth("alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg, row
+	}
+	_, plain := activate(fleet.Config{MaxActive: 1})
+	reg, row := activate(fleet.Config{MaxActive: 1, MemLimit: spillLimit})
+	if row.Memory == nil || row.Memory.SpillFiles == 0 {
+		t.Fatalf("buffer did not overflow to disk: %+v", row.Memory)
+	}
+	if row.Memory.Degraded || row.Status != "ok" {
+		t.Fatalf("spilled tenant degraded (%s): %q", row.Status, row.Memory.DegradeReason)
+	}
+	if row.Pool != plain.Pool {
+		t.Fatalf("spilled pool has %d candidates, ungoverned build %d", row.Pool, plain.Pool)
+	}
+	if dirs, err := filepath.Glob(filepath.Join(tmp, "gar-spill-*")); err != nil || len(dirs) != 1 {
+		t.Fatalf("process-private spill directories = %v (%v), want one", dirs, err)
+	}
+	if err := reg.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if dirs, err := filepath.Glob(filepath.Join(tmp, "gar-spill-*")); err != nil || len(dirs) != 0 {
+		t.Fatalf("Shutdown left the spill directory behind: %v (%v)", dirs, err)
+	}
+}
+
+// spillLimit is a share roomy enough for the fixture's whole snapshot
+// (~20KB); spillBuffer caps the pool build's RAM record buffer well
+// below the fixture's records, so the build must overflow to disk.
+const (
+	spillLimit  = 1 << 20
+	spillBuffer = 1 << 10
+)
