@@ -1,5 +1,5 @@
 # The tier-1 gate: everything a PR must keep green.
-.PHONY: verify test build vet lint garlint race bench bench-smoke cover qualgate stress
+.PHONY: verify test build vet lint garlint race bench bench-smoke cover qualgate stress test-generic
 
 build:
 	go build ./...
@@ -23,6 +23,14 @@ test:
 
 race:
 	go test -race ./...
+
+# test-generic covers the portable retrieval kernel: 386 builds use
+# vindex's pure-Go block scan instead of the amd64 SSE2 assembly (and
+# runs natively on amd64 hosts), and arm64 vet checks the portable
+# build of the index package.
+test-generic:
+	GOARCH=386 go test ./internal/vindex ./internal/vector
+	GOARCH=arm64 go vet ./internal/vindex
 
 # verify is the full robustness gate: build, static checks (go vet plus
 # the custom garlint analyzers), the whole suite (including the

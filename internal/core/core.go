@@ -608,7 +608,9 @@ func indexFromVecs(vecs []vector.Vec, opts Options) vindex.Index {
 		}
 		index = vindex.NewIVF(nlist, nlist/4+1, opts.Seed+2)
 	} else {
-		index = vindex.NewFlat()
+		flat := vindex.NewFlat()
+		flat.Grow(len(vecs))
+		index = flat
 	}
 	for i := range vecs {
 		index.Add(i, vecs[i])

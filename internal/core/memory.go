@@ -102,7 +102,11 @@ func recBytes(r poolRec) int64 { return int64(len(r.sql)+len(r.dialect)) + 64 }
 // weighs roughly an order of magnitude more than its printed form.
 func candBytes(r poolRec) int64 { return int64(len(r.sql)+len(r.dialect))*8 + 256 }
 
-// vecBytes estimates one dialect embedding.
+// vecBytes estimates one dialect embedding: 8 B per float32 covers the
+// embedding (4 B) plus its copy in the vector index's blocked store
+// (4 B, see vindex), and 48 B the slice header and allocation slack.
+// The question-embedding cache charges its entries the same way, which
+// over-counts them by the index copy they do not have.
 func vecBytes(v vector.Vec) int64 { return int64(len(v))*8 + 48 }
 
 // buildInfo is the degradation record of one pool build, published

@@ -14,11 +14,15 @@ type Vec []float32
 // New returns a zero vector of the given dimension.
 func New(dim int) Vec { return make(Vec, dim) }
 
-// Dot returns the inner product of two equal-length vectors.
+// Dot returns the inner product of two equal-length vectors. Each
+// product is rounded to float32 before it is added (the explicit
+// conversion keeps any architecture from fusing the two into one FMA),
+// so the sum is the same on every architecture, and the vector index's
+// blocked scan reproduces it bit for bit.
 func Dot(a, b Vec) float32 {
 	var s float32
 	for i := range a {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package vindex_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,14 +25,19 @@ func fill(idx vindex.Index, n, dim int, seed int64) vector.Vec {
 }
 
 // BenchmarkFlatSearch measures exact top-100 search over a pool the size
-// of a prepared GAR candidate set.
+// of a prepared GAR candidate set, and over the 17,087 candidates of
+// the 20k GEO-like pool.
 func BenchmarkFlatSearch(b *testing.B) {
-	idx := vindex.NewFlat()
-	q := fill(idx, 4000, 64, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = idx.Search(q, 100)
+	for _, n := range []int{4000, 17087} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			idx := vindex.NewFlat()
+			q := fill(idx, n, 64, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = idx.Search(q, 100)
+			}
+		})
 	}
 }
 

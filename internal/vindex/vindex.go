@@ -4,6 +4,10 @@
 // role Faiss plays in the paper's inference pipeline (§V-A2): retrieving
 // the closest dialect-expression embeddings for an NL query embedding.
 //
+// Both indexes scan a blocked, lane-interleaved copy of their vectors
+// with a SIMD kernel (SSE2 assembly on amd64, portable Go elsewhere)
+// whose scores are bit-identical to vector.Dot; see blocks.
+//
 // Searches accept a context.Context; cancellation and deadlines are
 // checked inside the scoring loops, so a slow scan over a very large
 // pool can be abandoned mid-flight. Indexes are safe for concurrent
@@ -12,6 +16,8 @@ package vindex
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,35 +75,55 @@ func searchBatch(ctx context.Context, qs []vector.Vec, k int,
 	return out, nil
 }
 
-// Flat is the exact brute-force index.
+// Flat is the exact brute-force index. It keeps its own blocked copy
+// of the vectors (see blocks) and scans it with the block kernel.
 type Flat struct {
-	ids  []int
-	vecs []vector.Vec
+	rows blocks
+	// err is the first refused Add; every search returns it.
+	err error
 }
 
 // NewFlat returns an empty exact index.
 func NewFlat() *Flat { return &Flat{} }
 
-// Add implements Index.
+// Grow reserves room for n more vectors, so a build that knows its
+// size allocates the blocked store once and exactly.
+func (f *Flat) Grow(n int) { f.rows.ids = slices.Grow(f.rows.ids, n) }
+
+// Add implements Index. The first vector fixes the index dimension; a
+// vector of another length is not stored, and every later search
+// returns an ErrDimension error naming it.
 func (f *Flat) Add(id int, v vector.Vec) {
-	f.ids = append(f.ids, id)
-	f.vecs = append(f.vecs, v)
+	if err := f.rows.add(id, v); err != nil && f.err == nil {
+		f.err = err
+	}
 }
 
 // Len implements Index.
-func (f *Flat) Len() int { return len(f.ids) }
+func (f *Flat) Len() int { return len(f.rows.ids) }
 
 // Search implements Index.
 //
 //garlint:allow ctxpass errlost -- compatibility wrapper over SearchContext; the fresh root context and the dropped error are the legacy signature
 func (f *Flat) Search(q vector.Vec, k int) []Hit {
-	hits, _ := topK(context.Background(), q, f.ids, f.vecs, k)
+	hits, _ := f.SearchContext(context.Background(), q, k)
 	return hits
 }
 
-// SearchContext implements Index.
+// SearchContext implements Index. A query whose length is not the
+// index dimension returns an ErrDimension error.
 func (f *Flat) SearchContext(ctx context.Context, q vector.Vec, k int) ([]Hit, error) {
-	return topK(ctx, q, f.ids, f.vecs, k)
+	if f.err != nil {
+		return nil, f.err
+	}
+	if err := f.rows.checkQuery(q); err != nil {
+		return nil, err
+	}
+	sel := newSelector(k, len(f.rows.ids))
+	if err := f.rows.scan(ctx, q, &sel); err != nil {
+		return nil, err
+	}
+	return sel.result(), nil
 }
 
 // SearchBatch implements Index.
@@ -112,8 +138,10 @@ type IVF struct {
 	seed          int64
 	ids           []int
 	vecs          []vector.Vec
-	centroids     []vector.Vec
-	lists         [][]int // centroid → positions in ids/vecs
+	// err is the first refused Add; every search returns it.
+	err       error
+	centroids []vector.Vec
+	lists     []blocks // centroid → its vectors, blocked
 	// buildMu serializes the lazy clustering so concurrent first
 	// searches do not race; built is only written under buildMu.
 	buildMu sync.Mutex
@@ -132,13 +160,21 @@ func NewIVF(nlist, nprobe int, seed int64) *IVF {
 	return &IVF{nlist: nlist, nprobe: nprobe, seed: seed}
 }
 
-// Add implements Index. Adding invalidates the trained clustering.
+// Add implements Index. Adding invalidates the trained clustering. As
+// with Flat, a vector whose length differs from the first is not
+// stored and makes every later search return an ErrDimension error.
 func (iv *IVF) Add(id int, v vector.Vec) {
 	iv.buildMu.Lock()
+	defer iv.buildMu.Unlock()
+	if len(iv.vecs) > 0 && len(v) != len(iv.vecs[0]) {
+		if iv.err == nil {
+			iv.err = dimError(fmt.Sprintf("vector %d", id), len(v), len(iv.vecs[0]))
+		}
+		return
+	}
 	iv.ids = append(iv.ids, id)
 	iv.vecs = append(iv.vecs, v)
 	iv.built = false
-	iv.buildMu.Unlock()
 }
 
 // Len implements Index.
@@ -148,8 +184,9 @@ func (iv *IVF) Len() int {
 	return len(iv.ids)
 }
 
-// Build trains the coarse quantizer; called automatically by Search.
-// It is safe to call from concurrent searches.
+// Build trains the coarse quantizer and lays each inverted list out in
+// blocked form; called automatically by Search. It is safe to call
+// from concurrent searches.
 func (iv *IVF) Build() {
 	iv.buildMu.Lock()
 	defer iv.buildMu.Unlock()
@@ -157,11 +194,18 @@ func (iv *IVF) Build() {
 		return
 	}
 	centroids, assign := vector.KMeans(iv.vecs, iv.nlist, 10, iv.seed)
-	iv.centroids = centroids
-	iv.lists = make([][]int, len(centroids))
-	for i, c := range assign {
-		iv.lists[c] = append(iv.lists[c], i)
+	sizes := make([]int, len(centroids))
+	for _, c := range assign {
+		sizes[c]++
 	}
+	iv.lists = make([]blocks, len(centroids))
+	for c, n := range sizes {
+		iv.lists[c] = blocks{dim: len(iv.vecs[0]), ids: make([]int, 0, n)}
+	}
+	for i, c := range assign {
+		iv.lists[c].put(iv.ids[i], iv.vecs[i]) // Add checked the length
+	}
+	iv.centroids = centroids
 	iv.built = true
 }
 
@@ -174,11 +218,19 @@ func (iv *IVF) Search(q vector.Vec, k int) []Hit {
 }
 
 // SearchContext implements Index. The centroid ranking and the probed
-// scans both observe cancellation.
+// scans both observe cancellation; the probed lists are scanned in
+// probe order into one selection. A query whose length is not the
+// index dimension returns an ErrDimension error.
 func (iv *IVF) SearchContext(ctx context.Context, q vector.Vec, k int) ([]Hit, error) {
 	iv.Build()
+	if iv.err != nil {
+		return nil, iv.err
+	}
 	if len(iv.centroids) == 0 {
 		return nil, ctx.Err()
+	}
+	if len(q) != len(iv.centroids[0]) {
+		return nil, dimError("query", len(q), len(iv.centroids[0]))
 	}
 	// Rank centroids by similarity and scan the top nprobe lists.
 	type cs struct {
@@ -195,22 +247,18 @@ func (iv *IVF) SearchContext(ctx context.Context, q vector.Vec, k int) ([]Hit, e
 		order[i] = cs{c: i, score: vector.Dot(q, cent)}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].score > order[j].score })
-	probes := iv.nprobe
-	if probes > len(order) {
-		probes = len(order)
+	probed := order[:min(iv.nprobe, len(order))]
+	n := 0
+	for _, o := range probed {
+		n += len(iv.lists[o.c].ids)
 	}
-	var ids []int
-	var vecs []vector.Vec
-	for _, o := range order[:probes] {
-		if err := ctx.Err(); err != nil {
+	sel := newSelector(k, n)
+	for _, o := range probed {
+		if err := iv.lists[o.c].scan(ctx, q, &sel); err != nil {
 			return nil, err
 		}
-		for _, pos := range iv.lists[o.c] {
-			ids = append(ids, iv.ids[pos])
-			vecs = append(vecs, iv.vecs[pos])
-		}
 	}
-	return topK(ctx, q, ids, vecs, k)
+	return sel.result(), nil
 }
 
 // SearchBatch implements Index. The coarse quantizer is built once up
@@ -218,91 +266,4 @@ func (iv *IVF) SearchContext(ctx context.Context, q vector.Vec, k int) ([]Hit, e
 func (iv *IVF) SearchBatch(ctx context.Context, qs []vector.Vec, k int) ([][]Hit, error) {
 	iv.Build()
 	return searchBatch(ctx, qs, k, iv.SearchContext)
-}
-
-// better is the ranking order of hits: score descending, ID ascending
-// on ties. It is a strict total order, which is what makes the bounded
-// heap selection below return exactly the prefix a full sort would.
-func better(a, b Hit) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.ID < b.ID
-}
-
-// topK scores every vector against q and returns the k best hits in
-// `better` order. For k well below the pool size it keeps a bounded
-// min-heap (worst hit at the root) instead of sorting the whole score
-// slice: O(n log k) with a k-sized footprint rather than O(n log n)
-// over the full pool, which is the dominant cost of first-stage
-// retrieval over large candidate pools.
-func topK(ctx context.Context, q vector.Vec, ids []int, vecs []vector.Vec, k int) ([]Hit, error) {
-	if k <= 0 || k >= len(ids) {
-		hits := make([]Hit, 0, len(ids))
-		for i, v := range vecs {
-			if i&(ctxCheckStride-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			hits = append(hits, Hit{ID: ids[i], Score: vector.Dot(q, v)})
-		}
-		sort.Slice(hits, func(i, j int) bool { return better(hits[i], hits[j]) })
-		return hits, nil
-	}
-
-	// heap[0] is the worst of the k best seen so far (min-heap under
-	// `better`).
-	heap := make([]Hit, 0, k)
-	for i, v := range vecs {
-		if i&(ctxCheckStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		h := Hit{ID: ids[i], Score: vector.Dot(q, v)}
-		if len(heap) < k {
-			heap = append(heap, h)
-			siftUp(heap, len(heap)-1)
-			continue
-		}
-		if better(h, heap[0]) {
-			heap[0] = h
-			siftDown(heap, 0)
-		}
-	}
-	sort.Slice(heap, func(i, j int) bool { return better(heap[i], heap[j]) })
-	return heap, nil
-}
-
-// siftUp restores the min-heap property (worst hit at the root, under
-// `better`) after appending at position i.
-func siftUp(h []Hit, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !better(h[parent], h[i]) {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-// siftDown restores the min-heap property after replacing the root.
-func siftDown(h []Hit, i int) {
-	n := len(h)
-	for {
-		worst := i
-		if l := 2*i + 1; l < n && better(h[worst], h[l]) {
-			worst = l
-		}
-		if r := 2*i + 2; r < n && better(h[worst], h[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
 }
